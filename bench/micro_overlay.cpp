@@ -27,6 +27,30 @@ void BM_Route(benchmark::State& state) {
       static_cast<double>(hops) / static_cast<double>(state.iterations());
 }
 
+// Dead-finger path: 20% of the ring fails with no stabilization, so finger
+// tables keep naming vanished peers and every hop must probe past them.
+void BM_RouteStale(benchmark::State& state) {
+  Rng rng(8);
+  ChordRing ring(48);
+  const auto count = static_cast<std::size_t>(state.range(0));
+  ring.build(count, rng);
+  while (ring.size() > count - count / 5) ring.fail(ring.random_node(rng));
+  const auto ids = ring.node_ids();
+  std::size_t hops = 0;
+  std::size_t failed = 0;
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const auto r = ring.route(ids[i++ % ids.size()],
+                              rng.below128(static_cast<u128>(1) << 48));
+    hops += r.hops();
+    failed += r.ok ? 0 : 1;
+    benchmark::DoNotOptimize(r.dest);
+  }
+  const auto iterations = static_cast<double>(state.iterations());
+  state.counters["hops/route"] = static_cast<double>(hops) / iterations;
+  state.counters["failed/route"] = static_cast<double>(failed) / iterations;
+}
+
 void BM_Join(benchmark::State& state) {
   Rng rng(2);
   for (auto _ : state) {
@@ -90,7 +114,8 @@ void BM_SuccessorOf(benchmark::State& state) {
 
 } // namespace
 
-BENCHMARK(BM_Route)->Arg(1000)->Arg(5000)->Arg(20000);
+BENCHMARK(BM_Route)->Arg(1000)->Arg(5000)->Arg(5400)->Arg(20000);
+BENCHMARK(BM_RouteStale)->Arg(5400);
 BENCHMARK(BM_Join)->Arg(1000)->Arg(5000)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_StabilizeSweep)->Arg(1000)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Build)->Arg(1000)->Arg(5400)->Unit(benchmark::kMillisecond);

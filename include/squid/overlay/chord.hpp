@@ -2,7 +2,7 @@
 //
 // Node identifiers are random values in [0, 2^id_bits); every key is owned
 // by its successor — the first node clockwise at or after it. Each node
-// keeps a finger table (finger[k] = successor(id + 2^k)), a predecessor, and
+// keeps a finger table (finger k = successor(id + 2^k)), a predecessor, and
 // a short successor list for fault tolerance. Routing is iterative greedy
 // closest-preceding-finger, O(log N) hops on a converged ring. Joins splice
 // through routed lookups, departures are graceful notifications, failures
@@ -21,6 +21,13 @@
 // rank pick, and repair_all wires whole tables by rank arithmetic. Leave and
 // fail tombstone their array entry; compaction is deferred to the next
 // insert (which pays O(N) for its shift anyway) or to a density threshold.
+//
+// Finger tables are stored as runs (DESIGN.md 4b). Of the finger_count()
+// logical entries most repeat the immediate successor and the rest take only
+// ~log2 N distinct values, so each node keeps one {id, first index} run per
+// maximal block of equal entries. Routing scans the runs (distinct fingers)
+// and probes liveness only for a finger that would win; all reads and
+// writes of a single entry go through finger() / set_finger().
 
 #pragma once
 
@@ -33,11 +40,23 @@
 
 namespace squid::overlay {
 
+/// A maximal block of equal finger entries: logical entries
+/// [first, next run's first) — or up to finger_count() for the last run —
+/// all point at `id`.
+struct FingerRun {
+  NodeId id = 0;
+  std::uint32_t first = 0;
+};
+
 struct ChordNode {
   NodeId id = 0;
   NodeId predecessor = 0;
   bool has_predecessor = false;
-  std::vector<NodeId> fingers;    ///< fingers[k] = successor(id + 2^k)
+  /// Run-length finger table: logical entry k (ideally the successor of
+  /// finger_target_of(id, k)) lives in the last run with first <= k. Starts
+  /// rise strictly from 0 and adjacent runs hold different ids; read and
+  /// write single entries through ChordRing::finger / set_finger.
+  std::vector<FingerRun> finger_runs;
   std::vector<NodeId> successors; ///< successor list, [0] = immediate
 };
 
@@ -67,8 +86,15 @@ public:
 
   unsigned id_bits() const noexcept { return id_bits_; }
   unsigned finger_base() const noexcept { return finger_base_; }
-  /// Number of finger-table entries per node for this ring's geometry.
+  /// Number of logical finger-table entries per node for this ring's
+  /// geometry (the runs of ChordNode::finger_runs cover exactly these).
   std::size_t finger_count() const noexcept { return finger_targets_.size(); }
+  /// Logical finger entry `k` of `n` (k < finger_count()).
+  NodeId finger(const ChordNode& n, std::size_t k) const;
+  /// Point logical finger entry `k` of `n` at `id`, splitting the run that
+  /// covers k and coalescing equal neighbors. `n` must carry a table wired
+  /// for this ring.
+  void set_finger(ChordNode& n, std::size_t k, NodeId id);
   /// The k-th finger target of `id`: (id + finger_targets_[k]) mod 2^bits.
   NodeId finger_target_of(NodeId id, std::size_t k) const {
     return (id + finger_targets_[k]) & id_mask();
@@ -164,9 +190,14 @@ private:
   std::size_t find_pos(NodeId id) const;
   /// Wire predecessor, successor list, and the short-range finger prefix of
   /// the node at array position `r` (must be live; tombstoned neighbors are
-  /// skipped). Returns the first finger index still needing a membership
-  /// search.
+  /// skipped) — the prefix becomes one run. Returns the first finger index
+  /// still needing a membership search; callers append the rest in index
+  /// order with append_finger.
   std::size_t wire_links(std::size_t r);
+  /// Append logical entry `k` (the next index after the table's last) to a
+  /// run table being wired in index order: a new run only when `id` differs
+  /// from the last run's.
+  static void append_finger(ChordNode& n, std::size_t k, NodeId id);
   /// Wire the node at array position `r` exactly (binary search per finger,
   /// stepping over tombstones).
   void wire_rank(std::size_t r);

@@ -216,6 +216,65 @@ NodeId ChordRing::random_free_id(Rng& rng) const {
   }
 }
 
+// --- Run-length finger table ---------------------------------------------------
+
+namespace {
+
+/// Index of the run covering logical finger entry `k`: the last run whose
+/// first index is <= k (runs are nonempty and start at 0).
+std::size_t run_of(const std::vector<FingerRun>& runs, std::size_t k) {
+  const auto it = std::upper_bound(
+      runs.begin(), runs.end(), k,
+      [](std::size_t index, const FingerRun& run) { return index < run.first; });
+  return static_cast<std::size_t>(it - runs.begin()) - 1;
+}
+
+/// Merge adjacent runs that hold the same id (each merged run keeps the
+/// first index of its leftmost part).
+void coalesce(std::vector<FingerRun>& runs) {
+  runs.erase(std::unique(runs.begin(), runs.end(),
+                         [](const FingerRun& a, const FingerRun& b) {
+                           return a.id == b.id;
+                         }),
+             runs.end());
+}
+
+} // namespace
+
+NodeId ChordRing::finger(const ChordNode& n, std::size_t k) const {
+  SQUID_REQUIRE(k < finger_count(), "finger index out of range");
+  SQUID_REQUIRE(!n.finger_runs.empty(), "node has no finger table");
+  return n.finger_runs[run_of(n.finger_runs, k)].id;
+}
+
+void ChordRing::set_finger(ChordNode& n, std::size_t k, NodeId id) {
+  SQUID_REQUIRE(k < finger_count(), "finger index out of range");
+  SQUID_REQUIRE(!n.finger_runs.empty(), "node has no finger table");
+  auto& runs = n.finger_runs;
+  std::size_t r = run_of(runs, k);
+  if (runs[r].id == id) return;
+  const auto first = static_cast<std::uint32_t>(k);
+  const std::size_t end =
+      r + 1 < runs.size() ? runs[r + 1].first : finger_count();
+  // Split so that entry k is a run of its own, repoint it, then merge it
+  // with a neighbor that already holds `id`.
+  if (runs[r].first < first) {
+    runs.insert(runs.begin() + static_cast<std::ptrdiff_t>(r + 1),
+                FingerRun{runs[r].id, first});
+    ++r;
+  }
+  if (k + 1 < end)
+    runs.insert(runs.begin() + static_cast<std::ptrdiff_t>(r + 1),
+                FingerRun{runs[r].id, first + 1});
+  runs[r].id = id;
+  coalesce(runs);
+}
+
+void ChordRing::append_finger(ChordNode& n, std::size_t k, NodeId id) {
+  if (n.finger_runs.empty() || n.finger_runs.back().id != id)
+    n.finger_runs.push_back(FingerRun{id, static_cast<std::uint32_t>(k)});
+}
+
 // --- Exact wiring (experiment setup) -----------------------------------------
 
 std::size_t ChordRing::wire_links(std::size_t r) {
@@ -249,25 +308,27 @@ std::size_t ChordRing::wire_links(std::size_t r) {
     n.successors.push_back(ids_[p]);
     if (p == r) break; // wrapped all the way around
   }
-  // resize, not assign: every entry is written by the caller or the fill
-  // below, and on the warm repair path this skips re-zeroing the table.
-  n.fingers.resize(finger_count());
+  // clear keeps the capacity, so the warm repair path rewires in place.
+  n.finger_runs.clear();
   if (live_count_ == 1) {
-    std::fill(n.fingers.begin(), n.fingers.end(), n.id);
+    n.finger_runs.push_back(FingerRun{n.id, 0});
     return finger_count();
   }
   // With N nodes in a 2^bits space, every finger whose target offset fits
   // inside the gap to the immediate successor resolves to that successor —
   // at paper scales that is the vast majority of the table (offsets are
   // geometric, the gap is ~2^bits/N). finger_targets_ is ascending, so one
-  // search over it replaces ~log2(2^bits/N) membership searches per node.
+  // search over it replaces ~log2(2^bits/N) membership searches per node,
+  // and the whole prefix is a single run.
   const NodeId next = n.successors.front();
   const u128 gap = (next - n.id) & id_mask();
   const std::size_t k0 = static_cast<std::size_t>(
       std::upper_bound(finger_targets_.begin(), finger_targets_.end(), gap) -
       finger_targets_.begin());
-  std::fill(n.fingers.begin(),
-            n.fingers.begin() + static_cast<std::ptrdiff_t>(k0), next);
+  // One run for the prefix plus at most one per remaining entry: a single
+  // allocation on a cold build.
+  n.finger_runs.reserve(finger_count() - k0 + 1);
+  if (k0 > 0) n.finger_runs.push_back(FingerRun{next, 0});
   return k0;
 }
 
@@ -280,7 +341,7 @@ void ChordRing::wire_rank(std::size_t r) {
     // A binary search lands on positions, not liveness: step past any
     // tombstones to the target's first *live* successor.
     while (slot_[pos] == kDeadSlot) pos = pos + 1 == count ? 0 : pos + 1;
-    n.fingers[k] = ids_[pos];
+    append_finger(n, k, ids_[pos]);
   }
 }
 
@@ -313,7 +374,7 @@ void ChordRing::repair_all() {
       if (target < prev_target[k]) c = 0;
       prev_target[k] = target;
       while (c < count && (ids_[c] < target || slot_[c] == kDeadSlot)) ++c;
-      n.fingers[k] = ids_[c == count ? first_live : c];
+      append_finger(n, k, ids_[c == count ? first_live : c]);
     }
   }
 }
@@ -406,18 +467,22 @@ std::optional<NodeId> ChordRing::first_alive_successor(
 
 NodeId ChordRing::closest_preceding_alive(const ChordNode& n, u128 key) const {
   // Pick the live finger that makes the most clockwise progress toward key
-  // while staying strictly before it. (With base-2 fingers in ascending
-  // offset order this matches the classic descending scan.)
+  // while staying strictly before it. Progress is injective in the finger
+  // id, so this argmax is a set function of the distinct fingers: scanning
+  // runs instead of logical entries cannot change it. Nor can testing
+  // liveness last — a finger that does not beat the best so far cannot win
+  // whether it is alive or not — and that makes the binary-search probe
+  // rare: scanning from the farthest finger down, the first live candidate
+  // inside (n, key) is usually the winner.
   NodeId best = n.id;
   u128 best_progress = 0;
-  for (std::size_t k = n.fingers.size(); k-- > 0;) {
-    const NodeId f = n.fingers[k];
-    if (!contains(f) || !in_open_open(n.id, key, f)) continue;
+  for (auto run = n.finger_runs.rbegin(); run != n.finger_runs.rend(); ++run) {
+    const NodeId f = run->id;
+    if (!in_open_open(n.id, key, f)) continue;
     const u128 progress = ring_distance(n.id, f, id_bits_);
-    if (progress > best_progress) {
-      best = f;
-      best_progress = progress;
-    }
+    if (progress <= best_progress || !contains(f)) continue;
+    best = f;
+    best_progress = progress;
   }
   return best;
 }
@@ -474,9 +539,9 @@ RouteResult ChordRing::join(NodeId new_id, NodeId bootstrap) {
     }
     // Seed fingers from the successor's table (standard bootstrap
     // approximation); stabilization tightens them over time.
-    n.fingers = succ.fingers;
-    if (n.fingers.empty()) n.fingers.assign(finger_count(), r.dest);
-    n.fingers[0] = r.dest;
+    n.finger_runs = succ.finger_runs;
+    if (n.finger_runs.empty()) n.finger_runs.push_back(FingerRun{r.dest, 0});
+    set_finger(n, 0, r.dest);
     if (succ.has_predecessor) {
       n.predecessor = succ.predecessor;
       n.has_predecessor = true;
@@ -573,14 +638,14 @@ void ChordRing::stabilize(NodeId id, Rng& rng) {
   // 5. Fix one random finger via a routed lookup (paper: each node
   // periodically "chooses a random entry in its finger table, checks for its
   // state, and updates it if required").
-  if (n.fingers.empty()) n.fingers.assign(finger_count(), *succ);
+  if (n.finger_runs.empty()) n.finger_runs.push_back(FingerRun{*succ, 0});
   const auto k = static_cast<std::size_t>(rng.below(finger_count()));
   const RouteResult r = route(id, finger_target_of(id, k));
   if (r.ok) {
-    node(id).fingers[k] = r.dest;
+    set_finger(node(id), k, r.dest);
     if constexpr (obs::kEnabled) RingMetrics::get().finger_fixes.add(1);
   }
-  node(id).fingers[0] = *succ;
+  set_finger(node(id), 0, *succ);
 }
 
 void ChordRing::note_timeout(NodeId observer, NodeId dead) {
@@ -598,8 +663,9 @@ void ChordRing::note_timeout(NodeId observer, NodeId dead) {
   // and the next stabilize round re-bootstraps.
   const auto succ = first_alive_successor(n);
   const NodeId fallback = succ ? *succ : observer;
-  for (NodeId& f : n.fingers)
-    if (f == dead) f = fallback;
+  for (FingerRun& run : n.finger_runs)
+    if (run.id == dead) run.id = fallback;
+  coalesce(n.finger_runs);
   if (n.has_predecessor && n.predecessor == dead) n.has_predecessor = false;
 }
 

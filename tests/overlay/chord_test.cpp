@@ -36,11 +36,11 @@ TEST(Chord, FingersMatchDefinitionAfterRepair) {
   Rng rng(3);
   ChordRing ring(20);
   ring.build(100, rng);
+  ASSERT_EQ(ring.finger_count(), 20u);
   for (const NodeId id : ring.node_ids()) {
     const ChordNode& n = ring.node(id);
-    ASSERT_EQ(n.fingers.size(), 20u);
     for (unsigned k = 0; k < 20; ++k)
-      EXPECT_EQ(n.fingers[k], ring.successor_of(finger_target(id, k, 20)));
+      EXPECT_EQ(ring.finger(n, k), ring.successor_of(finger_target(id, k, 20)));
   }
 }
 
@@ -205,7 +205,8 @@ TEST(Chord, RepairAllToleratesTombstonedMembership) {
     const ChordNode& n = ring.node(id);
     EXPECT_FALSE(dead.count(n.successors.front()));
     for (const NodeId s : n.successors) EXPECT_FALSE(dead.count(s));
-    for (const NodeId f : n.fingers) EXPECT_FALSE(dead.count(f));
+    for (std::size_t k = 0; k < ring.finger_count(); ++k)
+      EXPECT_FALSE(dead.count(ring.finger(n, k)));
     if (n.has_predecessor) EXPECT_FALSE(dead.count(n.predecessor));
   }
   for (int trial = 0; trial < 100; ++trial) {
@@ -231,7 +232,8 @@ TEST(Chord, NoteTimeoutPurgesObserverStateAndFallsBack) {
   ring.note_timeout(observer, victim);
   const ChordNode& n = ring.node(observer);
   for (const NodeId s : n.successors) EXPECT_NE(s, victim);
-  for (const NodeId f : n.fingers) EXPECT_NE(f, victim);
+  for (std::size_t k = 0; k < ring.finger_count(); ++k)
+    EXPECT_NE(ring.finger(n, k), victim);
   EXPECT_EQ(n.successors.front(), ring.successor_of(victim));
 
   // False positive: suspecting a live peer only prunes local links, which
