@@ -117,11 +117,11 @@ void BM_HistogramObserve(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 
-/// One parallel batch end to end: every squid.runtime.shard.* counter site
-/// fires on the hot path (delivery tallies, handoff staging, batch
-/// histogram, idle polls). Compare against a -DSQUID_OBS=OFF build of the
-/// same binary: the shard counters must be zero-cost when compiled out.
-void BM_QueryParallelShardCounters(benchmark::State& state) {
+/// One query_parallel batch end to end on 2 or 4 pool workers: every
+/// per-query registry site (squid.query.*, squid.retry.*) fires from
+/// concurrent workers. Compare against a -DSQUID_OBS=OFF build of the same
+/// binary: those sites must be zero-cost when compiled out.
+void BM_QueryParallel(benchmark::State& state) {
   World world = make_world(1000, 20000);
   world.sys->set_tracing(false);
   std::vector<core::ParallelQuerySpec> specs;
@@ -164,6 +164,6 @@ BENCHMARK(BM_QuerySamplerOff)->Arg(1000)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_QuerySamplerOn)->Arg(1000)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_CounterAdd);
 BENCHMARK(BM_HistogramObserve);
-BENCHMARK(BM_QueryParallelShardCounters)->Arg(2)->Arg(4)
+BENCHMARK(BM_QueryParallel)->Arg(2)->Arg(4)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_DeriveStats)->Unit(benchmark::kMicrosecond);

@@ -28,14 +28,15 @@
 //             drain_epochs consecutive windows (the crowd is actually
 //             gone). An onset during the drain re-arms serving directly.
 //
-// The controller runs at epoch close — a safe point in all three delivery
-// modes (kLockstep / kVirtualTime / kParallel) — and is deterministic: the
-// epoch series is mode-independent (commutative sums), detector transitions
-// fire in node-id order, and the only randomness is the controller's own
-// seeded RNG, so the same seed and workload yield the same splits and
-// replica sets in every mode. Disabled (or never constructed) it performs
-// no action and installs no entries, leaving every query bit-identical to
-// detection-only operation (tests/core/reaction_test.cpp).
+// The controller runs at epoch close — a safe point whether queries run
+// in lockstep, in virtual time, or in query_parallel — and is
+// deterministic: the epoch series is mode-independent (commutative sums),
+// detector transitions fire in node-id order, and the only randomness is
+// the controller's own seeded RNG, so the same seed and workload yield the
+// same splits and replica sets in every mode. Disabled (or never
+// constructed) it performs no action and installs no entries, leaving every
+// query bit-identical to detection-only operation
+// (tests/core/reaction_test.cpp).
 
 #pragma once
 

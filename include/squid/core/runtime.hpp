@@ -50,8 +50,7 @@
 
 namespace squid::core {
 
-class SquidSystem;         // core/system.hpp
-struct ParallelQueryState; // core/parallel.hpp
+class SquidSystem; // core/system.hpp
 
 /// One scan site's contribution to an aggregate query (DESIGN.md 4g):
 /// the partial it folded locally plus the bytes a ship-all-elements Reply
@@ -69,10 +68,11 @@ struct AggScanRecord {
 enum class DeliveryMode : std::uint8_t {
   kLockstep,    ///< all at delay 0; FIFO replays the seed recursion order
   kVirtualTime, ///< at the message's timing-DAG tick; overlapping queries
-  /// Sharded multi-core execution (core/parallel.hpp): planning messages
-  /// stay on the query's home-shard engine at delay 0 (the lockstep replay,
-  /// one shard worker per thread), while ScanRequests hand off to the shard
-  /// owning the scanned node and write private buffers merged at finalize.
+  /// Update plane only (core/update.hpp): ops are planned on
+  /// UpdateOptions::shards threads over contiguous submit-order chunks and
+  /// committed on the caller's thread in submit order. Queries never run
+  /// in this mode: query_parallel (core/parallel.hpp) resolves each query
+  /// in kLockstep on a pool worker.
   kParallel
 };
 
@@ -149,7 +149,7 @@ struct QueryExec {
   /// Reply-path wire accounting (QueryStats::bytes_shipped/reply_messages).
   /// Element/count queries accumulate per scan; aggregate queries per
   /// dispatch-tree edge at finalize. Sums of planning-determined terms, so
-  /// identical across delivery modes and shard counts.
+  /// identical across delivery modes and worker counts.
   std::uint64_t bytes_shipped = 0;
   std::uint64_t reply_messages = 0;
   /// Message-dependency DAG; event 0 is the query start at the origin.
@@ -233,15 +233,8 @@ struct QueryExec {
   sim::Time completed_at = 0; ///< engine clock when the Reply delivered
   QueryResult result; ///< assembled by finalize (Reply delivery)
   /// Armed while cache_cluster_owners is on; released at finalize so an
-  /// async query holds it for its whole in-flight window. (kParallel
-  /// releases it at planning end instead: the cache is only touched while
-  /// planning, and the next query's planning may start before this query's
-  /// scans drain.)
+  /// async query holds it for its whole in-flight window.
   std::optional<ScopedCacheWriter> cache_guard;
-  /// kParallel only: the executor-owned per-query state (scan buffers,
-  /// completion atomics, the forked fault injector). Non-owning; null in
-  /// the sequential modes.
-  ParallelQueryState* par = nullptr;
 };
 
 /// The peers' shared inbox code: delivering a message runs its work at the

@@ -33,7 +33,6 @@ class FaultInjector; // sim/fault.hpp
 
 namespace squid::core {
 
-struct ScanBuffer;        // core/parallel.hpp
 struct ParallelQuerySpec; // core/parallel.hpp
 struct ParallelOptions;   // core/parallel.hpp
 struct ParallelRun;       // core/parallel.hpp
@@ -182,7 +181,7 @@ public:
   /// reply path changes, which is where the message/byte savings come from
   /// (QueryStats::bytes_shipped/reply_messages account both paths through
   /// the real serializer). The answer rides QueryResult::aggregate and is
-  /// bit-identical across delivery modes, shard counts, and merge orders —
+  /// bit-identical across delivery modes, worker counts, and merge orders —
   /// and bit-equal to folding `spec` at the origin over query()'s elements.
   /// Throws std::invalid_argument for invalid specs (see validate_aggregate).
   QueryResult query_aggregate(const keyword::Query& query,
@@ -225,14 +224,13 @@ public:
   QueryHandle query_async(const keyword::Query& query, NodeId origin,
                           sim::Engine& engine) const;
 
-  /// Resolve a batch of queries on a sharded multi-core runtime
-  /// (core/parallel.hpp, DESIGN.md 4f): node space partitioned across
-  /// `opts.shards` worker threads, each with a private engine; planning
-  /// replays the lockstep order on each query's home shard while store
-  /// scans hand off to the shard owning the scanned node. Every per-query
-  /// result — element order, QueryStats, trace span multiset, completion
-  /// flag — is bit-equal to query() on this system, regardless of thread
-  /// interleaving (tests/core/parallel_differential_test.cpp). With
+  /// Resolve a batch of independent queries on a pool of `opts.shards`
+  /// worker threads, the caller included (core/parallel.hpp, DESIGN.md 4f).
+  /// Each worker takes the next spec and resolves it as one lockstep query
+  /// on a private engine, so every per-query result — element order,
+  /// QueryStats, trace, completion flag — is bit-equal to query() on this
+  /// system (tests/core/parallel_differential_test.cpp). With
+  /// cache_cluster_owners on the pool runs one worker in submit order. With
   /// opts.faults set, query k runs under an injector forked from the plan
   /// by submit index; the per-query tallies come back in ParallelRun so
   /// harnesses can replay the same forks sequentially and compare.
@@ -375,9 +373,6 @@ private:
 
   /// Delivers query messages into the private handlers below.
   friend class NodeRuntime;
-  /// Runs kParallel queries through start_exec/begin_resolution/
-  /// perform_scan_parallel/finalize_query (core/parallel.cpp).
-  friend class ParallelExecutor;
 
   u128 index_of_element(const DataElement& element) const;
 
@@ -401,6 +396,12 @@ private:
                                         bool arm_guard,
                                         const AggregateSpec* aggregate =
                                             nullptr) const;
+  /// Resolve one query to completion on a private lockstep engine judged by
+  /// `fault` (null = no faults): the body of query(), query_aggregate()
+  /// (`aggregate` non-null) and each query_parallel worker step.
+  QueryResult run_lockstep(const keyword::Query& query, NodeId origin,
+                           const AggregateSpec* aggregate,
+                           sim::FaultInjector* fault) const;
   /// Post the root work: the point-query fast path (paper 3.4.1) or the
   /// origin's ResolveRequest for the refinement-tree root.
   void begin_resolution(const std::shared_ptr<QueryExec>& exec,
@@ -424,7 +425,7 @@ private:
   /// aggregate requests (scan.agg.kind != kNone) the matches fold into the
   /// scan's AggScanRecord slot instead of exec.results.
   void perform_scan(QueryExec& exec, const msg::ScanRequest& scan) const;
-  /// The store sweep itself, shared by perform_scan and the parallel path:
+  /// The live-store sweep behind perform_scan (via scan_slice):
   /// walk stored keys in [segment.lo, segment.hi], filter by `rect` unless
   /// `covered`, and accumulate into the caller's sinks. With `agg` non-null
   /// matching elements fold into the record (elements/count untouched).
@@ -451,13 +452,6 @@ private:
                   std::vector<DataElement>& elements, std::size_t& count,
                   std::uint64_t& keys_scanned, std::uint64_t& keys_matched,
                   std::uint64_t& matches, AggScanRecord* agg) const;
-  /// kParallel twin of perform_scan: identical sweep, but every result and
-  /// span field lands in the scan's private ScanBuffer (no QueryExec
-  /// mutation — executor shards run this concurrently with home-shard
-  /// planning). The home shard merges buffers at finalize.
-  void perform_scan_parallel(const QueryExec& exec,
-                             const msg::ScanRequest& scan,
-                             ScanBuffer& out) const;
   /// Reply delivery: assemble QueryResult, close the trace, publish
   /// metrics, release the cache guard, stamp completed_at.
   void finalize_query(QueryExec& exec) const;
@@ -504,7 +498,7 @@ private:
     /// scans matched (exactly the scan_hits the owner would otherwise have
     /// recorded) — the controller's demand signal for draining entries
     /// after a clear. Atomic behind unique_ptr: bumped on the const query
-    /// path, possibly from several shard threads.
+    /// path, possibly from several query_parallel workers.
     std::unique_ptr<std::atomic<std::uint64_t>> serves =
         std::make_unique<std::atomic<std::uint64_t>>(0);
   };
@@ -561,8 +555,8 @@ private:
   /// controller runs at epoch close, a safe point); the query path reads it.
   std::map<std::uint64_t, ReplicaEntry> replica_cache_;
   std::uint64_t next_replica_id_ = 1;
-  /// Query-path counters: bumped inside const planning, which kParallel
-  /// replays concurrently on home shards — hence atomics (heap-held for
+  /// Query-path counters: bumped inside const planning, which
+  /// query_parallel runs concurrently on pool workers — hence atomics (heap-held for
   /// movability, same pattern as cache_writers_).
   struct ReplicaCounters {
     std::atomic<std::uint64_t> serves{0};

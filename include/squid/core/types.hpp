@@ -56,7 +56,7 @@ struct QueryStats {
   /// Element queries count one reply per scan site (split into
   /// SquidConfig::reply_frame_bytes frames); aggregate queries count one
   /// partial-carrying reply per dispatch-tree edge. Identical across
-  /// delivery modes and shard counts; not part of the frozen-seed lock.
+  /// delivery modes and worker counts; not part of the frozen-seed lock.
   std::uint64_t bytes_shipped = 0;
   std::uint64_t reply_messages = 0;
 };

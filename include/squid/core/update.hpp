@@ -7,27 +7,25 @@
 // (core/messages.hpp, wire round-trip in serialize.cpp), routes it from its
 // origin to the key's owner through the Chord ring, judges every message
 // leg at the uniform fault choke point (sim::Engine::admit — same retry +
-// exponential-backoff discipline as query legs), and delivers it in the
+// exponential-backoff discipline as query legs), and plans it in the
 // caller's chosen DeliveryMode:
 //
-//   * kLockstep    — each op drains its own delay-0 engine, in submit order.
-//   * kVirtualTime — all ops share one virtual clock; arrivals land at
-//                    their route-hop ticks, so completion times reflect the
-//                    honest interleaving.
-//   * kParallel    — ops partition across shard threads by the OWNER's home
-//                    shard (shard_of_node, as query scans do), each shard
-//                    delivering its ops in submit order on a private engine.
+//   * kLockstep, kVirtualTime — ops are planned one after another on the
+//                    caller's thread.
+//   * kParallel    — ops are planned on UpdateOptions::shards threads, each
+//                    taking one contiguous chunk of the submit order.
 //
 // Determinism contract (the store differential lock rests on all three):
 //   1. Fault verdicts are a pure function of (plan, submit index): every
 //      op's legs are judged by an injector forked from the base plan by its
 //      seq (sim::fork_plan), at virtual time 0, in every mode.
-//   2. Delivered frames COMMIT to the store at the post-drain safe point,
-//      in global submit order — never mid-flight, so concurrent shard
-//      delivery can neither race the store nor reorder writes.
-//   3. Therefore the final store state — and every query result computed
-//      from it — is bit-identical across modes, shard counts, and thread
-//      interleavings, and equal to applying the delivered subset directly.
+//   2. Delivered frames COMMIT to the store after planning, on the caller's
+//      thread, in global submit order — never mid-flight, so planning
+//      threads can neither race the store nor reorder writes.
+//   3. Therefore every per-op result (completion tick included) and the
+//      final store state — and every query result computed from it — are
+//      bit-identical across modes, shard counts, and thread interleavings,
+//      and the store equals applying the delivered subset directly.
 //
 // Commits go through SquidSystem::publish/unpublish, so hot-cluster replica
 // invalidation is synchronous (a retract can never leave a stale replica
@@ -79,7 +77,9 @@ struct UpdateResult {
   std::size_t messages = 0; ///< frames paid for (1 + resends + duplicates)
   std::size_t retries = 0;  ///< resends after presumed losses
   std::size_t bytes = 0;    ///< frame size through the real serializer
-  sim::Time completed_at = 0; ///< arrival tick (mode-dependent clock)
+  /// Arrival tick at the owner: route hops plus fault delay, counted from
+  /// 0. A lost frame never arrives, so it stays 0.
+  sim::Time completed_at = 0;
 };
 
 /// Whole-run accounting: per-op results in submit order plus the sums the
@@ -92,12 +92,12 @@ struct UpdateRun {
   std::size_t messages = 0;
   std::size_t retries = 0;
   std::size_t bytes = 0;
-  sim::Time makespan = 0; ///< latest arrival tick on the run's clock(s)
+  sim::Time makespan = 0; ///< latest completed_at over the run
 };
 
 struct UpdateOptions {
   DeliveryMode mode = DeliveryMode::kLockstep;
-  /// Shard-thread count for kParallel (>= 1); ignored otherwise.
+  /// Planning threads for kParallel (>= 1); ignored otherwise.
   unsigned shards = 1;
   /// Base fault plan; each op's legs are judged by stream fork_plan(plan,
   /// submit index). Null = no faults, no randomness. Not owned.
@@ -105,8 +105,8 @@ struct UpdateOptions {
 };
 
 /// Apply `ops` to the system through the update plane. See the determinism
-/// contract above; `opts.mode` only changes timing/interleaving, never the
-/// final store state.
+/// contract above; `opts.mode` only changes how many threads plan, never a
+/// result or the final store state.
 UpdateRun apply_updates(SquidSystem& sys, const std::vector<UpdateOp>& ops,
                         const UpdateOptions& opts = {});
 

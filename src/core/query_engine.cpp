@@ -31,6 +31,7 @@
 #include <deque>
 #include <map>
 #include <memory>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -44,6 +45,7 @@
 #include "squid/sfc/cursor.hpp"
 #include "squid/sim/fault.hpp"
 #include "squid/util/require.hpp"
+#include "worker_pool.hpp"
 
 namespace squid::core {
 
@@ -312,35 +314,6 @@ void SquidSystem::perform_scan(QueryExec& ex,
   }
 }
 
-void SquidSystem::perform_scan_parallel(const QueryExec& ex,
-                                        const msg::ScanRequest& scan,
-                                        ScanBuffer& out) const {
-  out.at = scan.at;
-  out.segment = scan.segment;
-  out.event = scan.event;
-  out.span = scan.span;
-  if (scan.agg.kind != AggregateKind::kNone) {
-    out.agg.at = scan.at;
-    out.agg.partial.spec = scan.agg;
-    scan_slice(scan.replica, ex.rect, scan.segment, scan.covered,
-               ex.count_only, out.elements, out.count, out.keys_scanned,
-               out.keys_matched, out.matches, &out.agg);
-  } else {
-    scan_slice(scan.replica, ex.rect, scan.segment, scan.covered,
-               ex.count_only, out.elements, out.count, out.keys_scanned,
-               out.keys_matched, out.matches, nullptr);
-    std::size_t payload = 0;
-    for (const DataElement& e : out.elements) payload += element_wire_size(e);
-    const std::size_t bytes = reply_wire_size(
-        scan.at, ex.origin, ex.count_only ? out.matches : out.elements.size(),
-        out.elements.size(), payload);
-    out.reply_bytes = bytes;
-    out.reply_frames = frames_of(bytes, config_.reply_frame_bytes);
-  }
-  note_replica_serve(scan.replica, out.keys_matched);
-  out.touched_data = out.keys_matched > 0;
-}
-
 void SquidSystem::plan_chain(const std::shared_ptr<QueryExec>& exec,
                              NodeId at, sfc::Segment seg, bool covered,
                              std::int32_t event, std::int32_t span) const {
@@ -477,7 +450,7 @@ void SquidSystem::dispatch_clusters(
     // peers, from the entry's snapshot — no overlay routing, no refinement
     // at the owner, no owner-chain walk. The peer choice is stateless
     // ((prefix + origin) mod replica count — origin is part of the query
-    // spec, so every delivery mode and shard count picks the same peer,
+    // spec, so every delivery mode and worker count picks the same peer,
     // while different clients of one hot cluster still fan out across the
     // replica set). While no entries are installed this whole branch is one
     // empty() check — the reaction layer's bit-transparency lock
@@ -816,7 +789,7 @@ void SquidSystem::finalize_aggregate(QueryExec& ex) const {
   // then merge child partials into their dispatch parents bottom-up. Every
   // merge operator is associative and commutative (ExactSum for kSum, bounded
   // sorted lists for top-k/group-by), so the result is bit-identical to the
-  // origin folding all elements itself — regardless of delivery mode, shard
+  // origin folding all elements itself — regardless of delivery mode, worker
   // count, or arrival order.
   const AggregateSpec& spec = *ex.agg;
   std::map<NodeId, AggregatePartial> nodes;
@@ -896,9 +869,8 @@ void SquidSystem::finalize_query(QueryExec& ex) const {
 #endif
   if (ex.publish_metrics) publish_query_metrics(result.stats, result.complete);
 #if SQUID_OBS_ENABLED
-  // The one flush per query, at the per-mode safe point (kParallel reaches
-  // here on the home shard after the deterministic scan merge). Everything
-  // above is already settled, so the sampler sees a finished query's events.
+  // The one flush per query, at the Reply safe point. Everything above is
+  // already settled, so the sampler sees a finished query's events.
   if (ex.telemetry != nullptr && telemetry_ != nullptr) {
     telemetry_->flush(*ex.telemetry, ex.started_at);
     ex.telemetry = nullptr;
@@ -1030,23 +1002,60 @@ void drive_to_completion(sim::Engine& engine,
 
 } // namespace
 
-QueryResult SquidSystem::query(const keyword::Query& query,
-                               NodeId origin) const {
+QueryResult SquidSystem::run_lockstep(const keyword::Query& query,
+                                      NodeId origin,
+                                      const AggregateSpec* aggregate,
+                                      sim::FaultInjector* fault) const {
   // A private engine per synchronous query, started at the injector's
   // clock so lockstep stepping (all events at one timestamp) never moves
   // it — partition windows behave exactly as in the seed path.
-  sim::Engine engine(fault_ ? fault_->now() : 0);
-  engine.set_fault_injector(fault_);
+  sim::Engine engine(fault ? fault->now() : 0);
+  engine.set_fault_injector(fault);
   auto exec = start_exec(engine, DeliveryMode::kLockstep, query, origin,
                          /*count_only=*/false, /*want_trace=*/trace_enabled_,
-                         /*publish=*/true, /*arm_guard=*/true);
+                         /*publish=*/true, /*arm_guard=*/true, aggregate);
   begin_resolution(exec, /*allow_point=*/true);
   drive_to_completion(engine, exec);
   return std::move(exec->result);
 }
 
+QueryResult SquidSystem::query(const keyword::Query& query,
+                               NodeId origin) const {
+  return run_lockstep(query, origin, nullptr, fault_);
+}
+
 QueryResult SquidSystem::query(const std::string& text, Rng& rng) const {
   return query(space_.parse(text), ring_.random_node(rng));
+}
+
+ParallelRun SquidSystem::query_parallel(
+    const std::vector<ParallelQuerySpec>& specs,
+    const ParallelOptions& opts) const {
+  SQUID_REQUIRE(opts.shards >= 1, "query_parallel needs at least one worker");
+  ParallelRun out;
+  out.results.resize(specs.size());
+  if (opts.faults != nullptr) out.faults.resize(specs.size());
+  // Each query is one lockstep query() on a private engine, so workers share
+  // only the read-only system. The owner cache couples consecutive queries:
+  // with it on, one worker in submit order is the sequential semantics.
+  const unsigned workers = config_.cache_cluster_owners ? 1 : opts.shards;
+  for_each_index(workers, specs.size(), [&](std::size_t k) {
+    const ParallelQuerySpec& spec = specs[k];
+    if (spec.aggregate.has_value()) validate_aggregate(*spec.aggregate);
+    std::optional<sim::FaultInjector> injector;
+    if (opts.faults != nullptr)
+      injector.emplace(sim::fork_plan(*opts.faults, k));
+    out.results[k] = run_lockstep(
+        spec.query, spec.origin,
+        spec.aggregate.has_value() ? &*spec.aggregate : nullptr,
+        injector.has_value() ? &*injector : nullptr);
+    if (injector.has_value()) {
+      out.faults[k] = ParallelFaultTallies{
+          injector->rng_draws(), injector->dropped(), injector->delayed(),
+          injector->duplicated()};
+    }
+  });
+  return out;
 }
 
 QueryHandle SquidSystem::query_async(const keyword::Query& query,
@@ -1104,14 +1113,7 @@ QueryResult SquidSystem::query_aggregate(const keyword::Query& query,
   // only the scan sites fold instead of shipping. That makes pushdown-vs-
   // ship-all comparisons (bench/abl_aggregation) apples to apples.
   validate_aggregate(spec);
-  sim::Engine engine(fault_ ? fault_->now() : 0);
-  engine.set_fault_injector(fault_);
-  auto exec = start_exec(engine, DeliveryMode::kLockstep, query, origin,
-                         /*count_only=*/false, /*want_trace=*/trace_enabled_,
-                         /*publish=*/true, /*arm_guard=*/true, &spec);
-  begin_resolution(exec, /*allow_point=*/true);
-  drive_to_completion(engine, exec);
-  return std::move(exec->result);
+  return run_lockstep(query, origin, &spec, fault_);
 }
 
 QueryHandle SquidSystem::query_aggregate_async(const keyword::Query& query,

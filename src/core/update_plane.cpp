@@ -2,32 +2,33 @@
 //
 // Shape of a run, in every mode:
 //
-//   plan (per op, submit order) ----> deliver (mode-specific clock) ----> commit
-//   route origin -> owner,            lockstep: per-op clock             global
-//   judge the frame leg under         vtime: one shared engine           submit
-//   a per-op forked injector          parallel: owner-shard threads      order
+//   plan (per op)                     ----> commit (caller's thread,
+//   route origin -> owner, judge the        global submit order)
+//   frame leg under a per-op forked
+//   injector; kParallel plans on
+//   UpdateOptions::shards threads
 //
 // Planning is a pure function of (system state, op, seq, plan): routing
 // reads const ring state, and the frame leg is judged by a PRIVATE engine
-// at time 0 with an injector forked by seq — so the delivered set is
-// identical in all three modes, and parallel shard threads touch no shared
-// mutable state. Commits happen after every clock has drained, on the
+// at time 0 with an injector forked by seq — so the delivered set and every
+// op's arrival tick are identical in all three modes, and planning threads
+// touch no shared mutable state. Commits happen after planning, on the
 // caller's thread, in global submit order, through SquidSystem::publish /
 // unpublish — which is where replica invalidation, telemetry, and the
-// registry counters fire. Mode changes timing; it can never change state.
+// registry counters fire. Mode changes only how fast planning runs; it can
+// never change state or timing.
 
 #include "squid/core/update.hpp"
 
 #include <algorithm>
-#include <thread>
 #include <utility>
 
-#include "squid/core/parallel.hpp"
 #include "squid/core/serialize.hpp"
 #include "squid/core/system.hpp"
 #include "squid/obs/metrics.hpp"
 #include "squid/sim/fault.hpp"
 #include "squid/util/require.hpp"
+#include "worker_pool.hpp"
 
 namespace squid::core {
 
@@ -42,25 +43,18 @@ void bump(const char* name, std::uint64_t n = 1) {
   }
 }
 
-/// One op, planned: the wire verdict plus the arrival tick its delivery
-/// lands at. `result` carries the cost accounting (hops/messages/retries/
-/// bytes) and the delivered flag; commit later fills applied/completed_at.
-struct PlannedOp {
-  UpdateResult result;
-  sim::Time arrival = 0;
-};
-
 /// Plan one op: route its key from the origin, then pay for the frame's
 /// transmission leg under this op's forked injector — the same
 /// 1+send_retries admit loop with exponential backoff that query legs use
 /// (QueryExec::attempt_leg), judged at virtual time 0 so the verdict stream
-/// depends only on (plan, seq), never on the mode's clock.
-PlannedOp plan_op(const SquidSystem& sys, const UpdateOp& op,
-                  std::uint64_t seq, const sim::FaultPlan* faults) {
-  PlannedOp out;
+/// depends only on (plan, seq), never on the mode. Fills everything but
+/// `applied`, which the commit decides.
+UpdateResult plan_op(const SquidSystem& sys, const UpdateOp& op,
+                     std::uint64_t seq, const sim::FaultPlan* faults) {
+  UpdateResult out;
   const u128 index = sys.curve().index_of(sys.space().encode(op.element.keys));
   const overlay::RouteResult route = sys.ring().route(op.origin, index);
-  out.result.hops = route.hops();
+  out.hops = route.hops();
   if (!route.ok) return out; // unroutable: no frame ever transmitted
 
   // The frame the owner would receive; its serialized size prices every
@@ -109,11 +103,13 @@ PlannedOp plan_op(const SquidSystem& sys, const UpdateOp& op,
     }
     if (!delivered) injector.report_timeout(op.origin, route.dest);
   }
-  out.result.delivered = delivered;
-  out.result.retries = resends;
-  out.result.messages = 1 + resends + (duplicate ? 1 : 0);
-  out.result.bytes = frame_bytes * out.result.messages;
-  out.arrival = static_cast<sim::Time>(route.hops()) + penalty;
+  out.delivered = delivered;
+  out.retries = resends;
+  out.messages = 1 + resends + (duplicate ? 1 : 0);
+  out.bytes = frame_bytes * out.messages;
+  // A lost frame never arrives: only a delivered op has a completion tick.
+  if (delivered)
+    out.completed_at = static_cast<sim::Time>(route.hops()) + penalty;
   return out;
 }
 
@@ -124,76 +120,24 @@ UpdateRun apply_updates(SquidSystem& sys, const std::vector<UpdateOp>& ops,
   UpdateRun run;
   run.results.resize(ops.size());
 
-  std::vector<PlannedOp> planned(ops.size());
-  switch (opts.mode) {
-  case DeliveryMode::kLockstep: {
-    // Each op drains its own delay-0 clock: completed_at is simply the
-    // op's arrival tick.
-    for (std::size_t seq = 0; seq < ops.size(); ++seq) {
-      planned[seq] = plan_op(sys, ops[seq], seq, opts.faults);
-      planned[seq].result.completed_at = planned[seq].arrival;
-    }
-    break;
-  }
-  case DeliveryMode::kVirtualTime: {
-    // One shared clock: every arrival is scheduled at its tick and the
-    // engine drains them in (time, FIFO) order, so completion stamps come
-    // off the honest interleaved timeline.
-    sim::Engine engine(0);
-    for (std::size_t seq = 0; seq < ops.size(); ++seq) {
-      planned[seq] = plan_op(sys, ops[seq], seq, opts.faults);
-      PlannedOp& p = planned[seq];
-      if (p.result.delivered)
-        engine.schedule(p.arrival,
-                        [&engine, &p]() { p.result.completed_at = engine.now(); });
-    }
-    engine.run();
-    break;
-  }
-  case DeliveryMode::kParallel: {
-    // Ops partition across shard threads by the OWNER's home shard — the
-    // same shard_of_node map query scans hand off with — and each shard
-    // plans + delivers its subsequence in submit order on a private
-    // engine. Planning only reads const system state and per-op forked
-    // injectors, and every result lands in the op's own slot, so threads
-    // share nothing mutable; the commit below re-serializes in global
-    // submit order regardless of how shards interleaved.
-    const unsigned shards = std::max(1u, opts.shards);
-    std::vector<std::vector<std::size_t>> by_shard(shards);
-    for (std::size_t seq = 0; seq < ops.size(); ++seq) {
-      const u128 index =
-          sys.curve().index_of(sys.space().encode(ops[seq].element.keys));
-      by_shard[shard_of_node(sys.owner_of(index), shards)].push_back(seq);
-    }
-    std::vector<std::thread> workers;
-    workers.reserve(shards);
-    for (unsigned s = 0; s < shards; ++s) {
-      workers.emplace_back([&sys, &ops, &opts, &planned,
-                            mine = &by_shard[s]]() {
-        sim::Engine engine(0);
-        for (const std::size_t seq : *mine) {
-          planned[seq] = plan_op(sys, ops[seq], seq, opts.faults);
-          PlannedOp& p = planned[seq];
-          if (p.result.delivered)
-            engine.schedule(p.arrival, [&engine, &p]() {
-              p.result.completed_at = engine.now();
-            });
-        }
-        engine.run();
-      });
-    }
-    for (std::thread& w : workers) w.join();
-    break;
-  }
-  }
+  // Plan: one loop in every mode. kParallel splits it into contiguous
+  // submit-order chunks on opts.shards threads; each op's result lands in
+  // its own slot, so the threads share nothing mutable.
+  const unsigned threads =
+      opts.mode == DeliveryMode::kParallel ? std::max(1u, opts.shards) : 1;
+  const std::size_t chunk = (ops.size() + threads - 1) / threads;
+  for_each_index(threads, threads, [&](std::size_t c) {
+    const std::size_t end = std::min(ops.size(), (c + 1) * chunk);
+    for (std::size_t seq = c * chunk; seq < end; ++seq)
+      run.results[seq] = plan_op(sys, ops[seq], seq, opts.faults);
+  });
 
-  // Commit: the post-drain safe point. Delivered frames apply in GLOBAL
+  // Commit: the post-planning safe point. Delivered frames apply in GLOBAL
   // submit order through publish/unpublish — replica invalidation,
   // telemetry, and counters all fire here, on the caller's thread.
   std::size_t retracts = 0;
   for (std::size_t seq = 0; seq < ops.size(); ++seq) {
     UpdateResult& r = run.results[seq];
-    r = planned[seq].result;
     if (r.delivered) {
       if (ops[seq].kind == UpdateOp::Kind::kPublish) {
         sys.publish(ops[seq].element);

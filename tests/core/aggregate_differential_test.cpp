@@ -4,17 +4,17 @@
 // and merges them up the cluster-dispatch tree. The contract under test:
 // the finished aggregate must be BIT-EQUAL to the origin folding the
 // ship-all element answer itself — for every aggregate kind, in every
-// delivery mode (kLockstep / kVirtualTime / kParallel at every shard
+// delivery mode (kLockstep / kVirtualTime / query_parallel at every worker
 // count), faults off AND on. Because every merge operator is associative
 // and commutative (ExactSum superaccumulator for kSum, bounded sorted
-// lists for top-k and group-by), no mode, shard interleaving, or arrival
+// lists for top-k and group-by), no mode, worker interleaving, or arrival
 // order may change a single bit — including the kSum double.
 //
 // The reply-path accounting rides the same lock: bytes_shipped and
 // reply_messages are sums of per-site/per-edge measured terms, so all
 // three modes must report identical values.
 //
-// Shard counts honor SQUID_PARALLEL_SHARDS like the parallel suite.
+// Worker counts honor SQUID_PARALLEL_SHARDS like the parallel suite.
 
 #include <gtest/gtest.h>
 

@@ -1,15 +1,17 @@
-// The sharded runtime's bit-identicality lock (DESIGN.md 4f).
+// query_parallel's bit-identicality lock (DESIGN.md 4f).
 //
-// query_parallel runs batches on S shard worker threads; query() runs the
-// lockstep message engine (itself locked to the frozen seed recursion by
-// async_differential_test.cpp). On twin systems the two must agree
+// query_parallel runs a batch on a pool of S worker threads; query() runs
+// the lockstep message engine (itself locked to the frozen seed recursion
+// by async_differential_test.cpp). On twin systems the two must agree
 // bit-for-bit per query — the element sequence IN ORDER, every QueryStats
 // field, the timing DAG, the trace span multiset, completion — for every
-// shard count, regardless of thread interleaving. With a fault plan, each
+// worker count, regardless of thread interleaving. With a fault plan, each
 // parallel query k runs under fork_plan(plan, k); replaying the same forks
-// sequentially must consume the RNG streams draw-for-draw identically.
+// sequentially must consume the RNG streams draw-for-draw identically. With
+// the owner cache on, the cache itself must end in the state the sequential
+// replay leaves (the coupling lock: hits, misses, stale).
 //
-// Shard counts default to {1, 2, 4}; the SQUID_PARALLEL_SHARDS env var
+// Worker counts default to {1, 2, 4}; the SQUID_PARALLEL_SHARDS env var
 // (comma-separated) overrides — CI's TSan job sets "2,4" to spend its time
 // on the genuinely concurrent cases.
 
@@ -18,6 +20,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -58,7 +61,7 @@ std::vector<unsigned> shard_counts() {
 }
 
 struct TwinWorld {
-  std::unique_ptr<SquidSystem> live; ///< runs the sharded executor
+  std::unique_ptr<SquidSystem> live; ///< runs query_parallel
   std::unique_ptr<SquidSystem> ref;  ///< runs lockstep query()
 };
 
@@ -197,6 +200,17 @@ void expect_identical(const QueryResult& par, const QueryResult& ref,
 #endif
 }
 
+/// The owner-cache coupling lock: after the batch, the live cache must hold
+/// exactly the counts the sequential replay left on the twin.
+void expect_same_cache(const TwinWorld& world, const std::string& context) {
+  const CacheStats& live = world.live->cache_stats();
+  const CacheStats& ref = world.ref->cache_stats();
+  EXPECT_EQ(live.hits, ref.hits) << context;
+  EXPECT_EQ(live.misses, ref.misses) << context;
+  EXPECT_EQ(live.stale, ref.stale) << context;
+  EXPECT_GT(live.hits + live.misses, 0u) << context; // the cache was consulted
+}
+
 TEST_P(ParallelDifferential, FaultFreeBatchesMatchLockstepAtEveryShardCount) {
   TwinWorld world = make_world(GetParam(), /*traced=*/obs::kEnabled);
   const std::vector<ParallelQuerySpec> specs =
@@ -216,7 +230,10 @@ TEST_P(ParallelDifferential, FaultFreeBatchesMatchLockstepAtEveryShardCount) {
                            std::to_string(k));
     }
     // A fresh twin per shard count when the cache couples runs.
-    if (std::get<3>(GetParam())) world = make_world(GetParam(), obs::kEnabled);
+    if (std::get<3>(GetParam())) {
+      expect_same_cache(world, "S=" + std::to_string(shards));
+      world = make_world(GetParam(), obs::kEnabled);
+    }
   }
 }
 
@@ -257,7 +274,10 @@ TEST_P(ParallelDifferential, FaultedBatchesMatchIncludingPerQueryRngStreams) {
       total_draws += injector.rng_draws();
     }
     world.ref->set_fault_injector(nullptr);
-    if (std::get<3>(GetParam())) world = make_world(GetParam(), obs::kEnabled);
+    if (std::get<3>(GetParam())) {
+      expect_same_cache(world, "S=" + std::to_string(shards) + " faulted");
+      world = make_world(GetParam(), obs::kEnabled);
+    }
   }
   EXPECT_GT(total_draws, 0u); // the plan actually exercised the fault path
 }
@@ -280,48 +300,23 @@ INSTANTIATE_TEST_SUITE_P(
              (std::get<3>(info.param) ? "_cache" : "_nocache");
     });
 
-TEST(ParallelExecutorTest, HandoffBatchLimitDoesNotChangeAnswers) {
-  // The staging flush threshold only moves WHEN jobs cross the mailbox, not
-  // what they compute: every limit must produce the same batch of results.
+TEST(ParallelQueryPool, BadSpecThrowsOnTheCaller) {
+  // A malformed spec fails inside a worker thread; the error must reach the
+  // caller as the usual std::invalid_argument, not terminate the process.
   TwinWorld world = make_world(Config{"hilbert", 2, true, false},
                                /*traced=*/false);
-  const std::vector<ParallelQuerySpec> specs =
-      random_batch(*world.live, 16, 0xba7c);
-  std::vector<std::vector<std::string>> runs;
-  for (std::size_t limit : {std::size_t{1}, std::size_t{4}, std::size_t{64}}) {
-    ParallelOptions opts;
-    opts.shards = 2;
-    opts.handoff_batch = limit;
-    const ParallelRun run = world.live->query_parallel(specs, opts);
-    std::vector<std::string> flat;
-    for (const QueryResult& r : run.results) {
-      flat.push_back("|" + std::to_string(r.stats.messages));
-      for (const auto& name : names_in_order(r)) flat.push_back(name);
-    }
-    runs.push_back(std::move(flat));
-  }
-  EXPECT_EQ(runs[0], runs[1]);
-  EXPECT_EQ(runs[0], runs[2]);
-}
-
-TEST(ParallelExecutorTest, ShardCountersAccountTheRun) {
-  // squid.runtime.shard.* totals move when a parallel batch runs. With the
-  // obs layer compiled out the registry is inert and there is nothing to
-  // observe.
-  if (!obs::kEnabled) GTEST_SKIP() << "obs layer compiled out";
-  auto& r = obs::Registry::global();
-  TwinWorld world = make_world(Config{"hilbert", 2, true, false},
-                               /*traced=*/false);
-  const std::vector<ParallelQuerySpec> specs =
-      random_batch(*world.live, 12, 0x0b5);
-  const std::uint64_t delivered0 =
-      r.counter("squid.runtime.shard.messages_delivered").value();
   ParallelOptions opts;
   opts.shards = 4;
-  const ParallelRun run = world.live->query_parallel(specs, opts);
-  ASSERT_EQ(run.results.size(), specs.size());
-  EXPECT_GT(r.counter("squid.runtime.shard.messages_delivered").value(),
-            delivered0);
+  std::vector<ParallelQuerySpec> wrong_arity =
+      random_batch(*world.live, 16, 0xbad);
+  wrong_arity[11].query.terms.pop_back();
+  EXPECT_THROW(world.live->query_parallel(wrong_arity, opts),
+               std::invalid_argument);
+  std::vector<ParallelQuerySpec> dead_origin =
+      random_batch(*world.live, 16, 0xbad);
+  dead_origin[3].origin = dead_origin[3].origin + 1;
+  EXPECT_THROW(world.live->query_parallel(dead_origin, opts),
+               std::invalid_argument);
 }
 
 } // namespace

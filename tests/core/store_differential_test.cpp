@@ -213,9 +213,10 @@ TEST(StoreDifferential, UpdatePlaneMatchesBatchBuildAcrossMatrix) {
 }
 
 TEST(StoreDifferential, DeliveryModeNeverChangesFinalState) {
-  // One op stream, five delivery points: identical per-op wire verdicts and
-  // identical final stores. Only completion times may differ (clause 3 of
-  // the determinism contract in core/update.hpp).
+  // One op stream, five delivery points: identical per-op results —
+  // completion ticks included — and identical final stores (clause 3 of the
+  // determinism contract in core/update.hpp). A lost op never arrives, so
+  // its completion tick is 0 in every mode.
   struct Point {
     DeliveryMode mode;
     unsigned shards;
@@ -282,6 +283,7 @@ TEST(StoreDifferential, DeliveryModeNeverChangesFinalState) {
       EXPECT_EQ(runs[m].messages, runs[0].messages);
       EXPECT_EQ(runs[m].retries, runs[0].retries);
       EXPECT_EQ(runs[m].bytes, runs[0].bytes);
+      EXPECT_EQ(runs[m].makespan, runs[0].makespan);
       ASSERT_EQ(runs[m].results.size(), runs[0].results.size());
       for (std::size_t i = 0; i < runs[0].results.size(); ++i) {
         EXPECT_EQ(runs[m].results[i].delivered, runs[0].results[i].delivered);
@@ -289,6 +291,15 @@ TEST(StoreDifferential, DeliveryModeNeverChangesFinalState) {
         EXPECT_EQ(runs[m].results[i].hops, runs[0].results[i].hops);
         EXPECT_EQ(runs[m].results[i].messages, runs[0].results[i].messages);
         EXPECT_EQ(runs[m].results[i].bytes, runs[0].results[i].bytes);
+        EXPECT_EQ(runs[m].results[i].completed_at,
+                  runs[0].results[i].completed_at);
+      }
+    }
+    for (const UpdateRun& run : runs) {
+      for (const UpdateResult& r : run.results) {
+        if (!r.delivered) {
+          EXPECT_EQ(r.completed_at, 0u);
+        }
       }
     }
     if (faulty) {

@@ -11,7 +11,7 @@
 //   - under faults, the injector's RNG stream draw-for-draw.
 // Runs the full differential config matrix across all three delivery
 // modes: lockstep query(), virtual-time query_async on a shared engine,
-// and the sharded parallel executor at S in {1,2,4} (SQUID_PARALLEL_SHARDS
+// and the query_parallel worker pool at S in {1,2,4} (SQUID_PARALLEL_SHARDS
 // overrides), faults off AND on. The sampled twin's series is also checked
 // non-empty (with observability compiled in), so the lock is not vacuous.
 
@@ -290,7 +290,7 @@ TEST_P(TelemetryDifferential, ParallelBatchesAreUnperturbedBySampling) {
                        "S=" + std::to_string(shards) + " query " +
                            std::to_string(k));
     }
-    // advance_to only between batches — never while shards are in flight.
+    // advance_to only between batches — never while workers are in flight.
     sampler.advance_to(64);
     world.sampled->set_telemetry(nullptr);
     if constexpr (obs::kEnabled) {
