@@ -179,9 +179,10 @@ public:
   /// cluster-dispatch tree, and the origin finalizes. Planning (routing,
   /// refinement, fault draws, timing DAG) is identical to query(); only the
   /// reply path changes, which is where the message/byte savings come from
-  /// (QueryStats::bytes_shipped/reply_messages account both paths through
-  /// the real serializer). The answer rides QueryResult::aggregate and is
-  /// bit-identical across delivery modes, worker counts, and merge orders —
+  /// (QueryStats::bytes_shipped/reply_messages account both paths at the
+  /// serializer's exact byte counts). The answer rides
+  /// QueryResult::aggregate and is bit-identical across delivery modes,
+  /// worker counts, and merge orders —
   /// and bit-equal to folding `spec` at the origin over query()'s elements.
   /// Throws std::invalid_argument for invalid specs (see validate_aggregate).
   QueryResult query_aggregate(const keyword::Query& query,
@@ -457,7 +458,7 @@ private:
   void finalize_query(QueryExec& exec) const;
   /// Aggregate finalize half: fold per-scan partials per node, merge them
   /// bottom-up along exec.reply_edges (one partial-carrying Reply frame per
-  /// edge, accounted through the real serializer), surface the origin's
+  /// edge, accounted at its exact wire size), surface the origin's
   /// merged partial as QueryResult::aggregate.
   void finalize_aggregate(QueryExec& exec) const;
 

@@ -51,7 +51,7 @@ struct QueryStats {
   std::size_t retries = 0;
   std::size_t failed_clusters = 0;
   /// Reply-path wire accounting (DESIGN.md 4g): bytes and frames the result
-  /// replies occupy on the wire, measured through the real serializer with a
+  /// replies occupy on the wire, exactly as the serializer writes them, with a
   /// canonical query id of 0 so the numbers are comparable across runs.
   /// Element queries count one reply per scan site (split into
   /// SquidConfig::reply_frame_bytes frames); aggregate queries count one

@@ -76,7 +76,7 @@ struct UpdateResult {
   std::size_t hops = 0;     ///< overlay route length origin -> owner
   std::size_t messages = 0; ///< frames paid for (1 + resends + duplicates)
   std::size_t retries = 0;  ///< resends after presumed losses
-  std::size_t bytes = 0;    ///< frame size through the real serializer
+  std::size_t bytes = 0;    ///< exact serialized frame size, per message
   /// Arrival tick at the owner: route hops plus fault delay, counted from
   /// 0. A lost frame never arrives, so it stays 0.
   sim::Time completed_at = 0;

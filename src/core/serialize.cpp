@@ -1,12 +1,14 @@
 #include "squid/core/serialize.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cstdint>
 #include <istream>
 #include <memory>
 #include <ostream>
-#include <streambuf>
+#include <stdexcept>
+#include <string_view>
 #include <tuple>
 #include <utility>
 
@@ -18,8 +20,56 @@ namespace {
 
 constexpr const char* kMagic = "SQUID-SNAPSHOT-1";
 
+// --- Closed-form sizes -------------------------------------------------------
+// Byte accounting (wire_size, element_wire_size, reply_wire_size,
+// update_wire_size) never runs a writer. Each writer below has a *_size twin
+// beside it that adds up the text lengths of the same fields in the same
+// order, so a size costs a few digit counts instead of a formatted stream.
+// The serializer tests hold every twin to the bytes save_message writes, on
+// fixed samples, on boundary values and on fuzzed frames.
+
+template <class T, std::size_t N> constexpr std::array<T, N> powers_of_ten() {
+  std::array<T, N> p{};
+  p[0] = 1;
+  for (std::size_t i = 1; i < N; ++i) p[i] = p[i - 1] * 10;
+  return p;
+}
+
+constexpr auto kPow10 = powers_of_ten<std::uint64_t, 20>();  // up to 10^19
+constexpr auto kPow10Wide = powers_of_ten<u128, 39>();       // up to 10^38
+
+// Decimal digit counts. For a value of bit width w, floor(w * log10(2)) --
+// w * 1233 >> 12 -- is the digit count or one less; one table compare
+// settles which. `v | 1` has the digit count of `v` and keeps 0 at width 1.
+
+std::size_t u64_digits(std::uint64_t v) {
+  v |= 1;
+  const int t = ((64 - std::countl_zero(v)) * 1233) >> 12;
+  return static_cast<std::size_t>(t) + (v >= kPow10[t] ? 1 : 0);
+}
+
+/// Values below 2^64 take the 64-bit count; wider ones (at least 20 digits,
+/// since 2^64 > 10^19) compare against the 128-bit table.
+std::size_t u128_digits(u128 v) {
+  const std::uint64_t hi = hi64(v);
+  if (hi == 0) return u64_digits(lo64(v));
+  const int t = ((128 - std::countl_zero(hi)) * 1233) >> 12;
+  return static_cast<std::size_t>(t) + (v >= kPow10Wide[t] ? 1 : 0);
+}
+
+/// Signed event/span ids: a '-' plus the magnitude's digits.
+std::size_t i32_digits(std::int32_t v) {
+  const std::int64_t wide = v;
+  return v < 0 ? 1 + u64_digits(static_cast<std::uint64_t>(-wide))
+               : u64_digits(static_cast<std::uint64_t>(wide));
+}
+
 void write_string(std::ostream& out, const std::string& s) {
   out << s.size() << ':' << s;
+}
+
+std::size_t string_size(const std::string& s) {
+  return u64_digits(s.size()) + 1 + s.size();
 }
 
 // Length prefixes and element counts come off the wire unvalidated, so no
@@ -55,15 +105,35 @@ std::string read_string(std::istream& in) {
 
 constexpr const char* kMsgMagic = "SQUID-MSG-1";
 
+/// Frame header: `SQUID-MSG-1 <type>\n`.
+std::size_t frame_header_size(std::string_view type) {
+  return std::string_view(kMsgMagic).size() + 1 + type.size() + 1;
+}
+
+/// parse_u128 for decoders, whose contract is std::invalid_argument only:
+/// an id with too many digits is a malformed frame like any other.
+u128 parse_id(const std::string& text, const char* what) {
+  try {
+    return parse_u128(text);
+  } catch (const std::out_of_range&) {
+    SQUID_REQUIRE(false, what);
+  }
+  return 0; // unreachable: SQUID_REQUIRE(false) throws
+}
+
 u128 read_id(std::istream& in) {
   std::string text;
   in >> text;
   SQUID_REQUIRE(in && !text.empty(), "message: truncated id");
-  return parse_u128(text);
+  return parse_id(text, "message: id out of range");
 }
 
 void write_cluster(std::ostream& out, const sfc::ClusterNode& cluster) {
   out << to_string(cluster.prefix) << ' ' << cluster.level;
+}
+
+std::size_t cluster_size(const sfc::ClusterNode& cluster) {
+  return u128_digits(cluster.prefix) + 1 + u64_digits(cluster.level);
 }
 
 sfc::ClusterNode read_cluster(std::istream& in) {
@@ -80,6 +150,12 @@ void write_batch(std::ostream& out, const msg::AggregateBatch& batch) {
     out << ' ';
     write_cluster(out, cluster);
   }
+}
+
+std::size_t batch_size(const msg::AggregateBatch& batch) {
+  std::size_t n = u64_digits(batch.clusters.size());
+  for (const auto& cluster : batch.clusters) n += 1 + cluster_size(cluster);
+  return n;
 }
 
 msg::AggregateBatch read_batch(std::istream& in) {
@@ -116,6 +192,16 @@ void write_element(std::ostream& out, const DataElement& element) {
       out << " n" << token_bits(std::get<double>(token));
     }
   }
+}
+
+std::size_t element_size(const DataElement& element) {
+  std::size_t n = string_size(element.name) + 1 + u64_digits(element.keys.size());
+  for (const auto& token : element.keys) {
+    const auto* word = std::get_if<std::string>(&token);
+    n += 2 + (word != nullptr ? string_size(*word)
+                              : u64_digits(token_bits(std::get<double>(token))));
+  }
+  return n;
 }
 
 DataElement read_element(std::istream& in) {
@@ -167,6 +253,11 @@ void write_spec(std::ostream& out, const AggregateSpec& spec) {
       << ' ' << (spec.largest ? 1 : 0);
 }
 
+std::size_t spec_size(const AggregateSpec& spec) {
+  return u64_digits(static_cast<unsigned>(spec.kind)) + 1 +
+         u64_digits(spec.dim) + 1 + u64_digits(spec.k) + 2;
+}
+
 AggregateSpec read_spec(std::istream& in) {
   unsigned kind = 0;
   AggregateSpec spec;
@@ -203,6 +294,27 @@ void write_partial(std::ostream& out, const AggregatePartial& partial) {
     out << ' ' << double_bits(entry.value) << ' ';
     write_string(out, entry.name);
   }
+}
+
+std::size_t partial_size(const AggregatePartial& partial) {
+  std::size_t n = spec_size(partial.spec) + 1 + u64_digits(partial.count);
+  const auto& limbs = partial.sum.limbs();
+  std::size_t nonzero = 0;
+  for (std::size_t i = 0; i < limbs.size(); ++i) {
+    if (limbs[i] == 0) continue;
+    ++nonzero;
+    n += 2 + u64_digits(i) + u64_digits(limbs[i]);
+  }
+  n += 1 + u64_digits(nonzero);
+  n += 4 + u64_digits(double_bits(partial.min)) +
+       u64_digits(double_bits(partial.max));
+  n += 1 + u64_digits(partial.groups.size());
+  for (const GroupCount& group : partial.groups)
+    n += 2 + string_size(group.key) + u64_digits(group.count);
+  n += 1 + u64_digits(partial.top.size());
+  for (const TopEntry& entry : partial.top)
+    n += 2 + u64_digits(double_bits(entry.value)) + string_size(entry.name);
+  return n;
 }
 
 AggregatePartial read_partial(std::istream& in) {
@@ -256,7 +368,7 @@ AggregatePartial read_partial(std::istream& in) {
   return partial;
 }
 
-/// Reply frame body shared by save_message and reply_wire_size; the element
+/// Reply frame body shared by save_message and wire_size; the element
 /// count is a parameter so accounting frames can be sized without copying
 /// the elements they would carry.
 void write_reply_header(std::ostream& out, const msg::Reply& reply,
@@ -272,33 +384,23 @@ void write_reply_header(std::ostream& out, const msg::Reply& reply,
   out << '\n';
 }
 
-/// Output streambuf that only counts. tellp works on it (seekoff answers
-/// the (0, cur) probe), which keeps save_message's size computation from
-/// recursing into wire_size.
-class CountingBuf final : public std::streambuf {
-public:
-  std::size_t count() const noexcept { return count_; }
-  void reset() noexcept { count_ = 0; }
+std::size_t reply_header_size(std::uint64_t query, overlay::NodeId from,
+                              overlay::NodeId to, std::uint64_t count,
+                              std::size_t element_count,
+                              const AggregatePartial* aggregate) {
+  return u64_digits(query) + 1 + u128_digits(from) + 1 + u128_digits(to) +
+         3 + u64_digits(count) + 1 + u64_digits(element_count) + 2 +
+         (aggregate != nullptr ? 1 + partial_size(*aggregate) : 0) + 1;
+}
 
-protected:
-  int_type overflow(int_type ch) override {
-    if (!traits_type::eq_int_type(ch, traits_type::eof())) ++count_;
-    return ch;
-  }
-  std::streamsize xsputn(const char*, std::streamsize n) override {
-    count_ += static_cast<std::size_t>(n);
-    return n;
-  }
-  pos_type seekoff(off_type off, std::ios_base::seekdir dir,
-                   std::ios_base::openmode) override {
-    if (off == 0 && dir == std::ios_base::cur)
-      return pos_type(static_cast<std::streamoff>(count_));
-    return pos_type(off_type(-1));
-  }
-
-private:
-  std::size_t count_ = 0;
-};
+/// Body of a publish or retract frame: `seq origin to element event span`.
+std::size_t update_body_size(std::uint64_t seq, overlay::NodeId origin,
+                             overlay::NodeId to, const DataElement& element,
+                             std::int32_t event, std::int32_t span) {
+  return u64_digits(seq) + 1 + u128_digits(origin) + 1 + u128_digits(to) +
+         1 + element_size(element) + 1 + i32_digits(event) + 1 +
+         i32_digits(span) + 1;
+}
 
 } // namespace
 
@@ -460,38 +562,64 @@ msg::Message load_message(std::istream& in, std::size_t* bytes_read) {
 }
 
 std::size_t wire_size(const msg::Message& message) {
-  CountingBuf buf;
-  std::ostream out(&buf);
-  save_message(message, out);
-  return buf.count();
+  // Mirrors save_message's Writer field by field.
+  struct Sizer {
+    std::size_t operator()(const msg::ResolveRequest& r) const {
+      return u64_digits(r.query) + 1 + u128_digits(r.at) + 1 +
+             batch_size(r.clusters) + 1 + i32_digits(r.event) + 1 +
+             i32_digits(r.span) + 1;
+    }
+    std::size_t operator()(const msg::ClusterDispatch& d) const {
+      return u64_digits(d.query) + 1 + u128_digits(d.from) + 1 +
+             u128_digits(d.to) + 1 + cluster_size(d.head) + 1 +
+             batch_size(d.batch) + 1 + i32_digits(d.event) + 1 +
+             i32_digits(d.span) + 1;
+    }
+    std::size_t operator()(const msg::ScanRequest& s) const {
+      return u64_digits(s.query) + 1 + u128_digits(s.at) + 1 +
+             u128_digits(s.segment.lo) + 1 + u128_digits(s.segment.hi) + 3 +
+             spec_size(s.agg) + 1 + u64_digits(s.slot) + 1 +
+             i32_digits(s.event) + 1 + i32_digits(s.span) + 1 +
+             u64_digits(s.replica) + 1;
+    }
+    std::size_t operator()(const msg::Reply& r) const {
+      std::size_t n = reply_header_size(r.query, r.from, r.to, r.count,
+                                        r.elements.size(), r.aggregate.get());
+      for (const auto& element : r.elements) n += element_size(element) + 1;
+      return n;
+    }
+    std::size_t operator()(const msg::PublishRequest& p) const {
+      return update_body_size(p.seq, p.origin, p.to, p.element, p.event,
+                              p.span);
+    }
+    std::size_t operator()(const msg::RetractRequest& r) const {
+      return update_body_size(r.seq, r.origin, r.to, r.element, r.event,
+                              r.span);
+    }
+  };
+  return frame_header_size(msg::type_name(message)) +
+         std::visit(Sizer{}, message);
 }
 
 std::size_t element_wire_size(const DataElement& element) {
-  thread_local CountingBuf buf;
-  thread_local std::ostream out(&buf);
-  buf.reset();
-  write_element(out, element);
-  return buf.count() + 1; // trailing newline
+  return element_size(element) + 1; // trailing newline
 }
 
 std::size_t reply_wire_size(overlay::NodeId from, overlay::NodeId to,
                             std::uint64_t count, std::size_t elements,
                             std::size_t payload_bytes,
                             const AggregatePartial* aggregate) {
-  CountingBuf buf;
-  std::ostream out(&buf);
-  msg::Reply reply;
-  reply.query = 0; // canonical accounting id
-  reply.from = from;
-  reply.to = to;
-  reply.complete = true;
-  reply.count = count;
-  if (aggregate != nullptr)
-    reply.aggregate = std::shared_ptr<const AggregatePartial>(
-        std::shared_ptr<const void>(), aggregate);
-  out << kMsgMagic << ' ' << "reply" << '\n';
-  write_reply_header(out, reply, elements);
-  return buf.count() + payload_bytes;
+  return frame_header_size("reply") +
+         reply_header_size(0, from, to, count, elements, aggregate) +
+         payload_bytes;
+}
+
+std::size_t update_wire_size(UpdateOp::Kind kind, std::uint64_t seq,
+                             overlay::NodeId origin, overlay::NodeId to,
+                             const DataElement& element) {
+  return frame_header_size(kind == UpdateOp::Kind::kPublish ? "publish"
+                                                            : "retract") +
+         update_body_size(seq, origin, to, element, /*event=*/0, /*span=*/-1);
 }
 
 void save_snapshot(const SquidSystem& sys, std::ostream& out) {
@@ -533,7 +661,7 @@ void load_snapshot(SquidSystem& sys, std::istream& in) {
   for (std::size_t i = 0; i < node_count; ++i) {
     std::string id_text;
     in >> id_text;
-    sys.add_node_at(parse_u128(id_text));
+    sys.add_node_at(parse_id(id_text, "snapshot: node id out of range"));
   }
 
   std::size_t element_count = 0;

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
@@ -16,6 +18,8 @@
 #include "squid/core/messages.hpp"
 #include "squid/core/serialize.hpp"
 #include "squid/util/u128.hpp"
+
+#include "message_samples.hpp"
 
 namespace squid::core {
 namespace {
@@ -37,111 +41,7 @@ template <typename T> T round_trip(const T& message) {
   return std::get<T>(back);
 }
 
-constexpr u128 kHuge = ~u128{0}; // exercise the full 128-bit range
-
-msg::ResolveRequest sample_resolve() {
-  msg::ResolveRequest r;
-  r.query = 0xfeedface01234567ull;
-  r.at = kHuge - 5;
-  r.clusters.clusters = {{0, 0}, {kHuge >> 1, 63}, {42, 7}};
-  r.event = 12;
-  r.span = -1;
-  return r;
-}
-
-msg::ClusterDispatch sample_dispatch() {
-  msg::ClusterDispatch d;
-  d.query = 1;
-  d.from = 17;
-  d.to = kHuge;
-  d.head = {kHuge - 1, 128};
-  d.batch.clusters = {{3, 2}, {9, 4}};
-  d.event = 3;
-  d.span = 44;
-  return d;
-}
-
-msg::ScanRequest sample_scan() {
-  msg::ScanRequest s;
-  s.query = 0;
-  s.at = 99;
-  s.segment = {kHuge / 3, kHuge / 2};
-  s.covered = true;
-  s.agg.kind = AggregateKind::kTopK;
-  s.agg.dim = 1;
-  s.agg.k = 8;
-  s.agg.largest = false;
-  s.slot = 41;
-  s.event = 0;
-  s.span = -1;
-  return s;
-}
-
-msg::Reply sample_reply() {
-  msg::Reply r;
-  r.query = 7;
-  r.from = 5;
-  r.to = 6;
-  r.complete = false;
-  r.count = 1234;
-  r.elements = {DataElement{"alpha", {"ab", "cd"}},
-                DataElement{"with space", {"", "x y z"}}};
-  return r;
-}
-
-/// A reply carrying an aggregate partial with every field populated —
-/// non-trivial ExactSum limbs, extremes, groups, and a sorted top list.
-msg::Reply sample_aggregate_reply() {
-  AggregateSpec spec;
-  spec.kind = AggregateKind::kTopK;
-  spec.dim = 1;
-  spec.k = 3;
-  spec.largest = true;
-  AggregatePartial partial = make_partial(spec);
-  partial.fold(DataElement{"a", {std::string("x"), 0.1}});
-  partial.fold(DataElement{"b", {std::string("y"), -1e300}});
-  partial.fold(DataElement{"c", {std::string("z"), 5e-324}});
-  partial.fold(DataElement{"d", {std::string("w"), 0.1}}); // value tie
-  partial.sum.add(0.2); // desync sum from the folds: arbitrary limbs ship
-  partial.has_extremes = true;
-  partial.min = -1e300;
-  partial.max = 0.1;
-  partial.groups = {{"g/a", 2}, {"g/b", 7}};
-
-  msg::Reply r;
-  r.query = 9;
-  r.from = kHuge - 2;
-  r.to = 1;
-  r.complete = true;
-  r.count = partial.count;
-  r.aggregate = std::make_shared<const AggregatePartial>(std::move(partial));
-  return r;
-}
-
-/// Update frames (DESIGN.md 4j) with both token flavors: an exact-binary
-/// awkward double (negative, non-representable decimal) and strings with
-/// spaces, so the element codec — not just the header — is exercised.
-msg::PublishRequest sample_publish() {
-  msg::PublishRequest p;
-  p.seq = 0xdeadbeef01234567ull;
-  p.origin = kHuge - 3;
-  p.to = 7;
-  p.element = DataElement{"obj 42", {-1234.5625, std::string("a b c")}};
-  p.event = 5;
-  p.span = -1;
-  return p;
-}
-
-msg::RetractRequest sample_retract() {
-  msg::RetractRequest r;
-  r.seq = 1;
-  r.origin = 0;
-  r.to = kHuge;
-  r.element = DataElement{"", {std::string(""), 0.1}};
-  r.event = 0;
-  r.span = 12;
-  return r;
-}
+using namespace samples;
 
 TEST(MessageSerialize, ResolveRequestRoundTrips) {
   const msg::ResolveRequest r = sample_resolve();
@@ -209,12 +109,7 @@ TEST(MessageSerialize, EveryAggregateKindRoundTripsOnScanAndReply) {
 }
 
 TEST(MessageSerialize, SaveReportsTheExactEncodedSizeAndLoadConsumesIt) {
-  const std::vector<msg::Message> all = {
-      msg::Message{sample_resolve()},         msg::Message{sample_dispatch()},
-      msg::Message{sample_scan()},            msg::Message{sample_reply()},
-      msg::Message{sample_aggregate_reply()}, msg::Message{sample_publish()},
-      msg::Message{sample_retract()}};
-  for (const msg::Message& message : all) {
+  for (const msg::Message& message : all_samples()) {
     std::ostringstream out;
     const std::size_t saved = save_message(message, out);
     EXPECT_EQ(saved, out.str().size()) << msg::type_name(message);
@@ -290,12 +185,7 @@ TEST(MessageSerialize, DestinationAndTypeNameMatchTheAlternative) {
 }
 
 TEST(MessageSerialize, EveryTruncationFailsLoudly) {
-  const std::vector<msg::Message> all = {
-      msg::Message{sample_resolve()},         msg::Message{sample_dispatch()},
-      msg::Message{sample_scan()},            msg::Message{sample_reply()},
-      msg::Message{sample_aggregate_reply()}, msg::Message{sample_publish()},
-      msg::Message{sample_retract()}};
-  for (const msg::Message& message : all) {
+  for (const msg::Message& message : all_samples()) {
     const std::string full = encode(message);
     // Drop whitespace-delimited tokens from the tail one at a time; every
     // proper prefix that ends at a token boundary must throw rather than
@@ -391,6 +281,262 @@ TEST(MessageSerialize, UnseekableStreamsDecodeAndRejectOversizedFrames) {
   EXPECT_EQ(decode_unseekable(encode(reply)), reply);
   const msg::Message publish{sample_publish()};
   EXPECT_EQ(decode_unseekable(encode(publish)), publish);
+}
+
+// --- Overflowing ids ---------------------------------------------------------
+// parse_u128 reports overflow as std::out_of_range; the decoder's contract is
+// std::invalid_argument only, so a 39-digit id above 2^128 - 1 must surface
+// as a malformed frame.
+
+constexpr const char* kTwoTo128 = "340282366920938463463374607431768211456";
+constexpr const char* kMaxId = "340282366920938463463374607431768211455";
+
+TEST(MessageSerialize, OverflowingIdsAreRejected) {
+  const std::string over = kTwoTo128;
+  const std::vector<std::string> frames = {
+      "SQUID-MSG-1 resolve 1 " + over + " 0 0 -1\n",
+      "SQUID-MSG-1 resolve 1 5 1 " + over + " 3 0 -1\n",
+      "SQUID-MSG-1 dispatch 1 " + over + " 2 3 1 0 0 -1\n",
+      "SQUID-MSG-1 scan 1 9 0 " + over + " 0 0 0 0 0 0 0 -1 0\n",
+      "SQUID-MSG-1 reply 1 5 " + over + " 1 0 0 0\n",
+      "SQUID-MSG-1 publish 1 " + over + " 3 1:a 0 0 -1\n",
+  };
+  for (const std::string& text : frames) {
+    EXPECT_THROW(decode(text), std::invalid_argument) << text;
+    EXPECT_THROW(decode_unseekable(text), std::invalid_argument) << text;
+  }
+  // One below the overflow is the largest id and still decodes.
+  const msg::Message at_max =
+      decode("SQUID-MSG-1 resolve 1 " + std::string(kMaxId) + " 0 0 -1\n");
+  EXPECT_EQ(std::get<msg::ResolveRequest>(at_max).at, ~u128{0});
+}
+
+// --- Closed-form sizes -------------------------------------------------------
+// wire_size, element_wire_size, reply_wire_size and update_wire_size add up
+// field lengths without running the writer. Each must equal the bytes
+// save_message writes on every digit-count boundary (the samples are checked
+// by SaveReportsTheExactEncodedSizeAndLoadConsumesIt above).
+
+void expect_exact_size(const msg::Message& message, const std::string& what) {
+  std::ostringstream out;
+  const std::size_t saved = save_message(message, out);
+  EXPECT_EQ(wire_size(message), saved) << msg::type_name(message) << " " << what;
+  EXPECT_EQ(wire_size(message), out.str().size())
+      << msg::type_name(message) << " " << what;
+}
+
+/// 0, 10^k - 1 and 10^k for every k <= 38, 2^64 - 1, 2^64, and 2^128 - 1.
+std::vector<u128> boundary_ids() {
+  std::vector<u128> ids = {0, std::numeric_limits<std::uint64_t>::max(),
+                           u128{1} << 64, ~u128{0}};
+  u128 p = 1;
+  for (int k = 1; k <= 38; ++k) {
+    p *= 10;
+    ids.push_back(p - 1);
+    ids.push_back(p);
+  }
+  return ids;
+}
+
+/// 0, 10^k - 1 and 10^k for every k <= 19, and 2^64 - 1.
+std::vector<std::uint64_t> boundary_u64s() {
+  std::vector<std::uint64_t> values = {
+      0, std::numeric_limits<std::uint64_t>::max()};
+  std::uint64_t p = 1;
+  for (int k = 1; k <= 19; ++k) {
+    p *= 10;
+    values.push_back(p - 1);
+    values.push_back(p);
+  }
+  return values;
+}
+
+std::vector<std::string> boundary_strings() {
+  std::vector<std::string> out;
+  for (std::size_t n : {0, 9, 10, 99, 100, 65536})
+    out.emplace_back(n, 'x');
+  return out;
+}
+
+std::vector<double> boundary_doubles() {
+  using L = std::numeric_limits<double>;
+  return {0.0,          -0.0,           L::infinity(),    -L::infinity(),
+          L::quiet_NaN(), L::denorm_min(), -L::denorm_min(), L::min(),
+          L::max(),     L::lowest(),    -1234.5625};
+}
+
+TEST(MessageSize, IdBoundariesAreSizedExactly) {
+  for (const u128 id : boundary_ids()) {
+    const std::string what = to_string(id);
+    msg::ResolveRequest r = sample_resolve();
+    r.at = id;
+    r.clusters.clusters.push_back({id, 0});
+    expect_exact_size(msg::Message{r}, what);
+
+    msg::ClusterDispatch d = sample_dispatch();
+    d.from = id;
+    d.to = id;
+    d.head.prefix = id;
+    expect_exact_size(msg::Message{d}, what);
+
+    msg::ScanRequest s = sample_scan();
+    s.at = id;
+    s.segment = {id, id};
+    expect_exact_size(msg::Message{s}, what);
+
+    msg::Reply reply = sample_aggregate_reply();
+    reply.from = id;
+    reply.to = id;
+    expect_exact_size(msg::Message{reply}, what);
+
+    msg::PublishRequest p = sample_publish();
+    p.origin = id;
+    p.to = id;
+    expect_exact_size(msg::Message{p}, what);
+  }
+}
+
+TEST(MessageSize, IntegerFieldBoundariesAreSizedExactly) {
+  for (const std::uint64_t v : boundary_u64s()) {
+    const std::string what = std::to_string(v);
+    msg::PublishRequest p = sample_publish();
+    p.seq = v;
+    expect_exact_size(msg::Message{p}, what);
+
+    msg::Reply reply = sample_reply();
+    reply.query = v;
+    reply.count = v;
+    expect_exact_size(msg::Message{reply}, what);
+
+    msg::ScanRequest s = sample_scan();
+    s.query = v;
+    s.replica = v;
+    s.slot = static_cast<std::uint32_t>(v);
+    s.agg.dim = static_cast<std::uint32_t>(v);
+    s.agg.k = static_cast<std::uint32_t>(v);
+    expect_exact_size(msg::Message{s}, what);
+
+    msg::ResolveRequest r = sample_resolve();
+    r.clusters.clusters.push_back({0, static_cast<unsigned>(v)});
+    expect_exact_size(msg::Message{r}, what);
+  }
+  // Signed event/span ids, down to INT32_MIN.
+  using I = std::numeric_limits<std::int32_t>;
+  for (const std::int32_t id : {I::min(), I::min() + 1, -1000000000, -10, -9,
+                                -1, 0, 9, 10, I::max()}) {
+    const std::string what = std::to_string(id);
+    msg::ClusterDispatch d = sample_dispatch();
+    d.event = id;
+    d.span = id;
+    expect_exact_size(msg::Message{d}, what);
+    msg::RetractRequest r = sample_retract();
+    r.event = id;
+    r.span = id;
+    expect_exact_size(msg::Message{r}, what);
+  }
+}
+
+TEST(MessageSize, StringsAndNumericTokensAreSizedExactly) {
+  for (const std::string& text : boundary_strings()) {
+    const std::string what = "length " + std::to_string(text.size());
+    msg::PublishRequest p = sample_publish();
+    p.element = DataElement{text, {text, 1.0, text}};
+    expect_exact_size(msg::Message{p}, what);
+
+    msg::Reply reply = sample_reply();
+    reply.elements.push_back(DataElement{text, {text}});
+    expect_exact_size(msg::Message{reply}, what);
+
+    msg::Reply agg = sample_aggregate_reply();
+    AggregatePartial partial = *agg.aggregate;
+    partial.groups.push_back({"h" + text, 3});
+    partial.top.push_back({-5.0, text});
+    agg.aggregate = std::make_shared<const AggregatePartial>(partial);
+    expect_exact_size(msg::Message{agg}, what);
+  }
+  for (const double v : boundary_doubles()) {
+    msg::RetractRequest r = sample_retract();
+    r.element.keys = {v, std::string("w"), v};
+    expect_exact_size(msg::Message{r}, std::to_string(v));
+  }
+}
+
+TEST(MessageSize, EveryAggregateKindPartialIsSizedExactly) {
+  for (AggregateKind kind :
+       {AggregateKind::kNone, AggregateKind::kCount, AggregateKind::kSum,
+        AggregateKind::kMin, AggregateKind::kMax, AggregateKind::kGroupBy,
+        AggregateKind::kTopK}) {
+    AggregateSpec spec;
+    spec.kind = kind;
+    spec.dim = kind == AggregateKind::kGroupBy ? 0 : 1;
+    spec.k = kind == AggregateKind::kTopK ? 2 : 0;
+    AggregatePartial partial = make_partial(spec);
+    for (const double v : {0.1, -1e300, 5e-324, 7.0})
+      partial.fold(DataElement{"e" + std::to_string(v), {std::string("g"), v}});
+    msg::Reply reply;
+    reply.query = 0;
+    reply.from = 11;
+    reply.to = ~u128{0};
+    reply.count = partial.count;
+    reply.aggregate = std::make_shared<const AggregatePartial>(partial);
+    expect_exact_size(msg::Message{reply}, aggregate_kind_name(kind));
+    EXPECT_EQ(reply_wire_size(reply.from, reply.to, reply.count, 0, 0,
+                              reply.aggregate.get()),
+              wire_size(msg::Message{reply}))
+        << aggregate_kind_name(kind);
+  }
+}
+
+TEST(MessageSize, ReplyWireSizeEqualsTheEquivalentReply) {
+  std::vector<std::vector<DataElement>> payloads = {
+      {}, sample_reply().elements, {sample_publish().element}};
+  for (const std::string& text : boundary_strings())
+    payloads.push_back({DataElement{text, {text, 2.5}}});
+  const auto aggregate = sample_aggregate_reply().aggregate;
+  for (const u128 id : boundary_ids()) {
+    for (const auto& elements : payloads) {
+      for (const bool with_aggregate : {false, true}) {
+        msg::Reply reply; // query 0, complete: the accounting frame
+        reply.from = id;
+        reply.to = ~id;
+        reply.count = static_cast<std::uint64_t>(id);
+        reply.elements = elements;
+        if (with_aggregate) reply.aggregate = aggregate;
+        std::size_t payload = 0;
+        for (const DataElement& e : elements) payload += element_wire_size(e);
+        EXPECT_EQ(reply_wire_size(reply.from, reply.to, reply.count,
+                                  elements.size(), payload,
+                                  reply.aggregate.get()),
+                  wire_size(msg::Message{reply}))
+            << to_string(id);
+        expect_exact_size(msg::Message{reply}, to_string(id));
+      }
+    }
+  }
+}
+
+TEST(MessageSize, UpdateWireSizeEqualsTheBuiltFrame) {
+  for (const u128 id : boundary_ids()) {
+    for (const std::uint64_t seq : {std::uint64_t{0}, std::uint64_t{9},
+                                    std::numeric_limits<std::uint64_t>::max()}) {
+      msg::PublishRequest p;
+      p.seq = seq;
+      p.origin = id;
+      p.to = ~id;
+      p.element = sample_publish().element;
+      EXPECT_EQ(update_wire_size(UpdateOp::Kind::kPublish, p.seq, p.origin,
+                                 p.to, p.element),
+                wire_size(msg::Message{p}));
+      msg::RetractRequest r;
+      r.seq = seq;
+      r.origin = id;
+      r.to = ~id;
+      r.element = sample_retract().element;
+      EXPECT_EQ(update_wire_size(UpdateOp::Kind::kRetract, r.seq, r.origin,
+                                 r.to, r.element),
+                wire_size(msg::Message{r}));
+    }
+  }
 }
 
 } // namespace

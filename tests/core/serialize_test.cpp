@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <stdexcept>
 
 #include "squid/workload/corpus.hpp"
 
@@ -118,6 +119,17 @@ TEST(Snapshot, GarbageRejected) {
   SquidSystem sys(doc_space());
   std::stringstream garbage("not a snapshot at all");
   EXPECT_THROW(load_snapshot(sys, garbage), std::invalid_argument);
+}
+
+TEST(Snapshot, OverflowingNodeIdRejected) {
+  // A node id one past 2^128 - 1: parse_u128 reports std::out_of_range, but
+  // load_snapshot's contract is std::invalid_argument only.
+  SquidSystem sys(doc_space());
+  std::stringstream snapshot;
+  snapshot << "SQUID-SNAPSHOT-1\n" << sys.curve().name() << " 2 "
+           << sys.space().bits_per_dim()
+           << "\n1\n340282366920938463463374607431768211456\n0\n";
+  EXPECT_THROW(load_snapshot(sys, snapshot), std::invalid_argument);
 }
 
 } // namespace
