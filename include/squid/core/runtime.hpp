@@ -26,7 +26,7 @@
 //
 // Fault interception is uniform: every protocol leg is judged by
 // Engine::admit (the same point Engine::send is built on), with retries and
-// backoff folded into the leg's timing-DAG hops by QueryExec::attempt_leg.
+// backoff folded into the leg's timing-DAG hops by attempt_leg.
 
 #pragma once
 
@@ -100,6 +100,24 @@ public:
 private:
   std::atomic<int>& writers_;
 };
+
+/// Outcome of one fault-aware message-leg delivery (attempt_leg).
+struct Leg {
+  bool delivered = true;
+  std::size_t extra_messages = 0; ///< resends + duplicate copies paid
+  std::size_t resends = 0;
+  sim::Time penalty = 0; ///< backoff waits + delivery delay, in ticks
+};
+
+/// Deliver one message leg from -> to through Engine::admit — the uniform
+/// fault interception point — resending with exponential backoff
+/// (config.retry_backoff << attempt) up to config.send_retries times. Query
+/// legs and update frames both pay their transmissions here. No injector
+/// attached: immediate clean delivery (the zero-overhead path — no draws,
+/// no spans, no accounting). Verdicts are drawn here, at planning time, so
+/// the injector's RNG stream is consumed in exactly the callers' order.
+Leg attempt_leg(sim::Engine& engine, const SquidConfig& config,
+                overlay::NodeId from, overlay::NodeId to);
 
 /// Per-query execution state: everything the seed recursion kept on the
 /// call stack, held explicitly so resolution can be suspended between
@@ -184,23 +202,6 @@ struct QueryExec {
   bool complete = true; ///< false once any sub-query is abandoned
   std::size_t retries = 0;
   std::size_t failed_clusters = 0;
-
-  /// Outcome of one fault-aware message-leg delivery (attempt_leg).
-  struct Leg {
-    bool delivered = true;
-    std::size_t extra_messages = 0; ///< resends + duplicate copies paid
-    std::size_t resends = 0;
-    sim::Time penalty = 0; ///< backoff waits + delivery delay, in ticks
-  };
-
-  /// Deliver one message leg from -> to through Engine::admit — the uniform
-  /// fault interception point — resending with exponential backoff
-  /// (config->retry_backoff << attempt) up to config->send_retries times.
-  /// No injector attached: immediate clean delivery (the zero-overhead
-  /// path — no draws, no spans, no accounting). Verdicts are drawn here,
-  /// at planning time, so the injector's RNG stream is consumed in exactly
-  /// the seed recursion's order.
-  Leg attempt_leg(NodeId from, NodeId to);
 
   /// Account a *delivered* leg's fault costs. Resends and duplicate copies
   /// are extra query messages; the retry span carries them so derive_stats

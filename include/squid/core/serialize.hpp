@@ -32,9 +32,8 @@ void save_snapshot(const SquidSystem& sys, std::ostream& out);
 void load_snapshot(SquidSystem& sys, std::istream& in);
 
 /// Write one query-protocol message (versioned header + type tag + fields).
-/// Returns the number of bytes written; when `out` cannot report stream
-/// positions the size comes from wire_size instead, so the return value is
-/// always the true frame size.
+/// Returns the number of bytes written, which is wire_size(message): both
+/// run the same frame writer.
 std::size_t save_message(const msg::Message& message, std::ostream& out);
 
 /// Read back a message written by save_message. Throws
@@ -44,9 +43,8 @@ std::size_t save_message(const msg::Message& message, std::ostream& out);
 /// occupied (0 if `in` cannot report stream positions).
 msg::Message load_message(std::istream& in, std::size_t* bytes_read = nullptr);
 
-/// Serialized size of `message` in bytes, computed in closed form: the
-/// digit and string lengths of exactly the fields save_message writes, so
-/// it equals save_message's byte count without formatting anything.
+/// Serialized size of `message` in bytes: save_message's frame writer run
+/// on a sink that adds up digit and string lengths instead of formatting.
 std::size_t wire_size(const msg::Message& message);
 
 /// Wire size of one element as a Reply payload line (element encoding plus

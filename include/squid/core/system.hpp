@@ -96,21 +96,10 @@ public:
   /// fixtures load their 2·10^4-10^5-key corpora.
   void publish_batch(const std::vector<DataElement>& elements);
 
-  /// Protocol-faithful publish: routes the element's key from `origin` to
-  /// its owner; the result carries the overlay path.
-  overlay::RouteResult publish_routed(const DataElement& element,
-                                      NodeId origin);
-
   /// Remove one published element (matched by name AND keys). Returns true
   /// when something was removed; the key vanishes with its last element.
   /// O(log K + |delta|) amortized: the slot is tombstoned, not shifted out.
   bool unpublish(const DataElement& element);
-
-  /// Protocol-faithful retract: routes the element's key from `origin` to
-  /// its owner, then unpublishes there. `removed` (when non-null) reports
-  /// whether the owner actually held the element.
-  overlay::RouteResult retract_routed(const DataElement& element,
-                                      NodeId origin, bool* removed = nullptr);
 
   std::size_t key_count() const noexcept { return store_.size(); }
   std::size_t element_count() const noexcept { return element_count_; }
@@ -394,7 +383,6 @@ private:
                                         const keyword::Query& query,
                                         NodeId origin, bool count_only,
                                         bool want_trace, bool publish,
-                                        bool arm_guard,
                                         const AggregateSpec* aggregate =
                                             nullptr) const;
   /// Resolve one query to completion on a private lockstep engine judged by

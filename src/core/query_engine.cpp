@@ -169,9 +169,9 @@ void SquidSystem::set_telemetry(obs::EpochSampler* sampler) noexcept {
 
 namespace {
 
-/// The per-key filter/fold body shared by every scan path: live tiered
-/// walks, flat replica snapshots, and the frozen reference oracle all visit
-/// keys through this, so their accounting is identical by construction.
+/// The per-key filter/fold body shared by every live scan path: tiered
+/// walks and flat replica snapshots both visit keys through this, so their
+/// accounting is identical by construction.
 /// `Key` is SquidSystem's private StoredKey (templated to keep it so).
 template <class Key>
 void visit_scanned_key(const Key& key, const sfc::Rect& rect, bool covered,
@@ -349,7 +349,7 @@ void SquidSystem::plan_chain(const std::shared_ptr<QueryExec>& exec,
       for (const NodeId hop : r.path)
         ex.telemetry->record(hop, obs::LoadKind::kRouteThrough, 1,
                              ex.tick(event));
-    const QueryExec::Leg leg = ex.attempt_leg(at, r.dest);
+    const Leg leg = attempt_leg(*ex.engine, *ex.config, at, r.dest);
     const sim::Time sent = ex.tick(event);
     const std::int32_t arrive = ex.add_event(
         event, r.hops() + static_cast<std::size_t>(leg.penalty));
@@ -384,7 +384,7 @@ void SquidSystem::plan_chain(const std::shared_ptr<QueryExec>& exec,
     }
     --ex.dispatch_budget;
     const NodeId next = ring_.successor_of((at + 1) & ring_.id_mask());
-    const QueryExec::Leg leg = ex.attempt_leg(at, next);
+    const Leg leg = attempt_leg(*ex.engine, *ex.config, at, next);
     ex.messages += 1;
     ex.routing.push_back(at);
     ex.routing.push_back(next);
@@ -491,7 +491,7 @@ void SquidSystem::dispatch_clusters(
           s.messages = 1;
           s.end = s.start + 1; // direct send: one hop
         }
-        const QueryExec::Leg leg = ex.attempt_leg(from, replica);
+        const Leg leg = attempt_leg(*ex.engine, *ex.config, from, replica);
         if (!leg.delivered) {
           ex.add_event(event, static_cast<std::size_t>(leg.penalty));
           ex.fail_leg(leg.resends, leg.penalty, 1, replica, event, dspan);
@@ -614,7 +614,7 @@ void SquidSystem::dispatch_clusters(
     // may need resends or be lost for good. A lost head drops only its own
     // cluster: no identifier reply arrives, so no batch forms, and the
     // would-be siblings are dispatched individually by later iterations.
-    const QueryExec::Leg leg = ex.attempt_leg(from, dest);
+    const Leg leg = attempt_leg(*ex.engine, *ex.config, from, dest);
     if (!leg.delivered) {
       // The backoff waits still burn wall-clock at the dispatcher: land them
       // in the timing DAG so trace-derived and engine critical paths agree.
@@ -893,7 +893,7 @@ void SquidSystem::finalize_query(QueryExec& ex) const {
 std::shared_ptr<QueryExec> SquidSystem::start_exec(
     sim::Engine& engine, DeliveryMode mode, const keyword::Query& query,
     NodeId origin, bool count_only, bool want_trace, bool publish,
-    bool arm_guard, const AggregateSpec* aggregate) const {
+    const AggregateSpec* aggregate) const {
   SQUID_REQUIRE(ring_.contains(origin), "query origin is not a live node");
   auto exec = std::make_shared<QueryExec>();
   QueryExec& ex = *exec;
@@ -903,7 +903,7 @@ std::shared_ptr<QueryExec> SquidSystem::start_exec(
   ex.sys = this;
   ex.config = &config_;
   ex.origin = origin;
-  if (arm_guard && config_.cache_cluster_owners)
+  if (config_.cache_cluster_owners)
     ex.cache_guard.emplace(*cache_writers_);
   ex.rect = space_.to_rect(query);
   refiner_.validate_query(ex.rect); // once per query; per-node paths trust it
@@ -957,7 +957,7 @@ void SquidSystem::begin_resolution(const std::shared_ptr<QueryExec>& exec,
       if (ex.telemetry != nullptr)
         for (const NodeId hop : r.path)
           ex.telemetry->record(hop, obs::LoadKind::kRouteThrough, 1, 0);
-      const QueryExec::Leg leg = ex.attempt_leg(ex.origin, r.dest);
+      const Leg leg = attempt_leg(*ex.engine, *ex.config, ex.origin, r.dest);
       const std::int32_t event =
           ex.add_event(0, r.hops() + static_cast<std::size_t>(leg.penalty));
       std::int32_t span = ex.root_span;
@@ -1020,7 +1020,7 @@ QueryResult SquidSystem::run_lockstep(const keyword::Query& query,
   engine.set_fault_injector(fault);
   auto exec = start_exec(engine, DeliveryMode::kLockstep, query, origin,
                          /*count_only=*/false, /*want_trace=*/trace_enabled_,
-                         /*publish=*/true, /*arm_guard=*/true, aggregate);
+                         /*publish=*/true, aggregate);
   begin_resolution(exec, /*allow_point=*/true);
   drive_to_completion(engine, exec);
   return std::move(exec->result);
@@ -1070,7 +1070,7 @@ QueryHandle SquidSystem::query_async(const keyword::Query& query,
                                      sim::Engine& engine) const {
   auto exec = start_exec(engine, DeliveryMode::kVirtualTime, query, origin,
                          /*count_only=*/false, /*want_trace=*/trace_enabled_,
-                         /*publish=*/true, /*arm_guard=*/true);
+                         /*publish=*/true);
   begin_resolution(exec, /*allow_point=*/true);
   return QueryHandle(exec);
 }
@@ -1085,7 +1085,7 @@ std::size_t SquidSystem::count(const keyword::Query& query,
   engine.set_fault_injector(fault_);
   auto exec = start_exec(engine, DeliveryMode::kLockstep, query, origin,
                          /*count_only=*/true, /*want_trace=*/false,
-                         /*publish=*/false, /*arm_guard=*/true);
+                         /*publish=*/false);
   begin_resolution(exec, /*allow_point=*/false);
   drive_to_completion(engine, exec);
   return exec->count;
@@ -1130,7 +1130,7 @@ QueryHandle SquidSystem::query_aggregate_async(const keyword::Query& query,
   validate_aggregate(spec);
   auto exec = start_exec(engine, DeliveryMode::kVirtualTime, query, origin,
                          /*count_only=*/false, /*want_trace=*/trace_enabled_,
-                         /*publish=*/true, /*arm_guard=*/true, &spec);
+                         /*publish=*/true, &spec);
   begin_resolution(exec, /*allow_point=*/true);
   return QueryHandle(exec);
 }

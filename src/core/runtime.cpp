@@ -13,20 +13,21 @@
 
 namespace squid::core {
 
-QueryExec::Leg QueryExec::attempt_leg(NodeId from, NodeId to) {
+Leg attempt_leg(sim::Engine& engine, const SquidConfig& config,
+                overlay::NodeId from, overlay::NodeId to) {
   Leg out;
-  sim::FaultInjector* fault = engine->fault_injector();
+  sim::FaultInjector* fault = engine.fault_injector();
   if (fault == nullptr) return out;
-  const unsigned attempts = 1 + config->send_retries;
+  const unsigned attempts = 1 + config.send_retries;
   for (unsigned a = 0; a < attempts; ++a) {
-    const sim::SendOutcome verdict = engine->admit(from, to);
+    const sim::SendOutcome verdict = engine.admit(from, to);
     if (verdict.delivered) {
       out.penalty += verdict.extra_delay;
       out.extra_messages = out.resends + (verdict.duplicate ? 1 : 0);
       return out;
     }
     if (a + 1 < attempts) {
-      out.penalty += config->retry_backoff << a;
+      out.penalty += config.retry_backoff << a;
       ++out.resends;
     }
   }

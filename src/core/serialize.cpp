@@ -8,8 +8,10 @@
 #include <memory>
 #include <ostream>
 #include <stdexcept>
+#include <string>
 #include <string_view>
 #include <tuple>
+#include <type_traits>
 #include <utility>
 
 #include "squid/util/require.hpp"
@@ -20,13 +22,12 @@ namespace {
 
 constexpr const char* kMagic = "SQUID-SNAPSHOT-1";
 
-// --- Closed-form sizes -------------------------------------------------------
-// Byte accounting (wire_size, element_wire_size, reply_wire_size,
-// update_wire_size) never runs a writer. Each writer below has a *_size twin
-// beside it that adds up the text lengths of the same fields in the same
-// order, so a size costs a few digit counts instead of a formatted stream.
-// The serializer tests hold every twin to the bytes save_message writes, on
-// fixed samples, on boundary values and on fuzzed frames.
+// --- One encoder, two sinks -------------------------------------------------
+// Every frame layout below is written once, as a template over its output.
+// save_message and save_snapshot run it on a StreamSink; byte accounting
+// (wire_size, element_wire_size, reply_wire_size, update_wire_size) runs
+// the same code on a SizeSink, which adds up the text length of each field
+// without formatting it. The two can only disagree if a sink does.
 
 template <class T, std::size_t N> constexpr std::array<T, N> powers_of_ten() {
   std::array<T, N> p{};
@@ -57,19 +58,49 @@ std::size_t u128_digits(u128 v) {
   return static_cast<std::size_t>(t) + (v >= kPow10Wide[t] ? 1 : 0);
 }
 
-/// Signed event/span ids: a '-' plus the magnitude's digits.
-std::size_t i32_digits(std::int32_t v) {
-  const std::int64_t wide = v;
-  return v < 0 ? 1 + u64_digits(static_cast<std::uint64_t>(-wide))
-               : u64_digits(static_cast<std::uint64_t>(wide));
-}
+/// Writes fields to an std::ostream; u128 ids print as decimal text.
+struct StreamSink {
+  std::ostream& out;
+  template <class T> StreamSink& operator<<(const T& v) {
+    out << v;
+    return *this;
+  }
+  StreamSink& operator<<(u128 v) {
+    out << to_string(v);
+    return *this;
+  }
+};
 
-void write_string(std::ostream& out, const std::string& s) {
+/// Counts the bytes a StreamSink would write for the same fields.
+struct SizeSink {
+  std::size_t bytes = 0;
+  SizeSink& operator<<(char) {
+    ++bytes;
+    return *this;
+  }
+  SizeSink& operator<<(std::string_view s) {
+    bytes += s.size();
+    return *this;
+  }
+  SizeSink& operator<<(u128 v) {
+    bytes += u128_digits(v);
+    return *this;
+  }
+  template <class T>
+  std::enable_if_t<std::is_integral_v<T>, SizeSink&> operator<<(T v) {
+    if constexpr (std::is_signed_v<T>) {
+      if (v < 0) {
+        bytes += 1 + u64_digits(0 - static_cast<std::uint64_t>(v));
+        return *this;
+      }
+    }
+    bytes += u64_digits(static_cast<std::uint64_t>(v));
+    return *this;
+  }
+};
+
+template <class Out> void write_string(Out& out, const std::string& s) {
   out << s.size() << ':' << s;
-}
-
-std::size_t string_size(const std::string& s) {
-  return u64_digits(s.size()) + 1 + s.size();
 }
 
 // Length prefixes and element counts come off the wire unvalidated, so no
@@ -106,8 +137,8 @@ std::string read_string(std::istream& in) {
 constexpr const char* kMsgMagic = "SQUID-MSG-1";
 
 /// Frame header: `SQUID-MSG-1 <type>\n`.
-std::size_t frame_header_size(std::string_view type) {
-  return std::string_view(kMsgMagic).size() + 1 + type.size() + 1;
+template <class Out> void write_frame_header(Out& out, std::string_view type) {
+  out << kMsgMagic << ' ' << type << '\n';
 }
 
 /// parse_u128 for decoders, whose contract is std::invalid_argument only:
@@ -128,12 +159,9 @@ u128 read_id(std::istream& in) {
   return parse_id(text, "message: id out of range");
 }
 
-void write_cluster(std::ostream& out, const sfc::ClusterNode& cluster) {
-  out << to_string(cluster.prefix) << ' ' << cluster.level;
-}
-
-std::size_t cluster_size(const sfc::ClusterNode& cluster) {
-  return u128_digits(cluster.prefix) + 1 + u64_digits(cluster.level);
+template <class Out>
+void write_cluster(Out& out, const sfc::ClusterNode& cluster) {
+  out << cluster.prefix << ' ' << cluster.level;
 }
 
 sfc::ClusterNode read_cluster(std::istream& in) {
@@ -144,18 +172,13 @@ sfc::ClusterNode read_cluster(std::istream& in) {
   return {prefix, level};
 }
 
-void write_batch(std::ostream& out, const msg::AggregateBatch& batch) {
+template <class Out>
+void write_batch(Out& out, const msg::AggregateBatch& batch) {
   out << batch.clusters.size();
   for (const auto& cluster : batch.clusters) {
     out << ' ';
     write_cluster(out, cluster);
   }
-}
-
-std::size_t batch_size(const msg::AggregateBatch& batch) {
-  std::size_t n = u64_digits(batch.clusters.size());
-  for (const auto& cluster : batch.clusters) n += 1 + cluster_size(cluster);
-  return n;
 }
 
 msg::AggregateBatch read_batch(std::istream& in) {
@@ -168,20 +191,22 @@ msg::AggregateBatch read_batch(std::istream& in) {
   return batch;
 }
 
-// Numeric tokens travel as their raw IEEE bit patterns (decimal uint64,
-// same convention as aggregate partials below): element identity is (key,
-// name) and keys come from the tokens, so a routed retract whose double
-// wobbled by one ulp in transit would silently miss the stored element.
-std::uint64_t token_bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+// Doubles travel as their raw IEEE bit patterns (decimal uint64). Aggregate
+// partials then round-trip bit-exactly, and so do numeric tokens: element
+// identity is (key, name) and keys come from the tokens, so a routed retract
+// whose double wobbled by one ulp in transit would silently miss the stored
+// element.
 
-double token_double(std::istream& in, const char* what) {
+std::uint64_t double_bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+double bits_double(std::istream& in, const char* what) {
   std::uint64_t bits = 0;
   in >> bits;
   SQUID_REQUIRE(in, what);
   return std::bit_cast<double>(bits);
 }
 
-void write_element(std::ostream& out, const DataElement& element) {
+template <class Out> void write_element(Out& out, const DataElement& element) {
   write_string(out, element.name);
   out << ' ' << element.keys.size();
   for (const auto& token : element.keys) {
@@ -189,19 +214,9 @@ void write_element(std::ostream& out, const DataElement& element) {
       out << " s";
       write_string(out, *word);
     } else {
-      out << " n" << token_bits(std::get<double>(token));
+      out << " n" << double_bits(std::get<double>(token));
     }
   }
-}
-
-std::size_t element_size(const DataElement& element) {
-  std::size_t n = string_size(element.name) + 1 + u64_digits(element.keys.size());
-  for (const auto& token : element.keys) {
-    const auto* word = std::get_if<std::string>(&token);
-    n += 2 + (word != nullptr ? string_size(*word)
-                              : u64_digits(token_bits(std::get<double>(token))));
-  }
-  return n;
 }
 
 DataElement read_element(std::istream& in) {
@@ -218,7 +233,7 @@ DataElement read_element(std::istream& in) {
       element.keys.emplace_back(read_string(in));
     } else if (kind == 'n') {
       element.keys.emplace_back(
-          token_double(in, "message: malformed numeric token"));
+          bits_double(in, "message: malformed numeric token"));
     } else {
       SQUID_REQUIRE(false, "message: unknown token kind");
     }
@@ -235,27 +250,11 @@ std::pair<std::int32_t, std::int32_t> read_ids(std::istream& in) {
 }
 
 // --- Aggregate spec / partial encoding (core/aggregate.hpp) -----------------
-// Doubles inside partials travel as their raw bit patterns (decimal uint64)
-// so pushdown results round-trip bit-exactly; the ExactSum superaccumulator
-// travels as its nonzero limbs.
+// The ExactSum superaccumulator travels as its nonzero limbs.
 
-std::uint64_t double_bits(double v) { return std::bit_cast<std::uint64_t>(v); }
-
-double bits_double(std::istream& in, const char* what) {
-  std::uint64_t bits = 0;
-  in >> bits;
-  SQUID_REQUIRE(in, what);
-  return std::bit_cast<double>(bits);
-}
-
-void write_spec(std::ostream& out, const AggregateSpec& spec) {
+template <class Out> void write_spec(Out& out, const AggregateSpec& spec) {
   out << static_cast<unsigned>(spec.kind) << ' ' << spec.dim << ' ' << spec.k
       << ' ' << (spec.largest ? 1 : 0);
-}
-
-std::size_t spec_size(const AggregateSpec& spec) {
-  return u64_digits(static_cast<unsigned>(spec.kind)) + 1 +
-         u64_digits(spec.dim) + 1 + u64_digits(spec.k) + 2;
 }
 
 AggregateSpec read_spec(std::istream& in) {
@@ -271,7 +270,8 @@ AggregateSpec read_spec(std::istream& in) {
   return spec;
 }
 
-void write_partial(std::ostream& out, const AggregatePartial& partial) {
+template <class Out>
+void write_partial(Out& out, const AggregatePartial& partial) {
   write_spec(out, partial.spec);
   out << ' ' << partial.count;
   const auto& limbs = partial.sum.limbs();
@@ -294,27 +294,6 @@ void write_partial(std::ostream& out, const AggregatePartial& partial) {
     out << ' ' << double_bits(entry.value) << ' ';
     write_string(out, entry.name);
   }
-}
-
-std::size_t partial_size(const AggregatePartial& partial) {
-  std::size_t n = spec_size(partial.spec) + 1 + u64_digits(partial.count);
-  const auto& limbs = partial.sum.limbs();
-  std::size_t nonzero = 0;
-  for (std::size_t i = 0; i < limbs.size(); ++i) {
-    if (limbs[i] == 0) continue;
-    ++nonzero;
-    n += 2 + u64_digits(i) + u64_digits(limbs[i]);
-  }
-  n += 1 + u64_digits(nonzero);
-  n += 4 + u64_digits(double_bits(partial.min)) +
-       u64_digits(double_bits(partial.max));
-  n += 1 + u64_digits(partial.groups.size());
-  for (const GroupCount& group : partial.groups)
-    n += 2 + string_size(group.key) + u64_digits(group.count);
-  n += 1 + u64_digits(partial.top.size());
-  for (const TopEntry& entry : partial.top)
-    n += 2 + u64_digits(double_bits(entry.value)) + string_size(entry.name);
-  return n;
 }
 
 AggregatePartial read_partial(std::istream& in) {
@@ -368,95 +347,80 @@ AggregatePartial read_partial(std::istream& in) {
   return partial;
 }
 
-/// Reply frame body shared by save_message and wire_size; the element
-/// count is a parameter so accounting frames can be sized without copying
-/// the elements they would carry.
-void write_reply_header(std::ostream& out, const msg::Reply& reply,
-                        std::size_t element_count) {
-  out << reply.query << ' ' << to_string(reply.from) << ' '
-      << to_string(reply.to) << ' ' << (reply.complete ? 1 : 0) << ' '
-      << reply.count << ' ' << element_count << ' '
-      << (reply.aggregate ? 1 : 0);
-  if (reply.aggregate) {
+/// Reply frame body up to its payload lines. Takes fields rather than a
+/// Reply so accounting frames are sized without building one: the element
+/// count stands in for the elements they would carry.
+template <class Out>
+void write_reply_header(Out& out, std::uint64_t query, overlay::NodeId from,
+                        overlay::NodeId to, bool complete, std::uint64_t count,
+                        std::size_t element_count,
+                        const AggregatePartial* aggregate) {
+  out << query << ' ' << from << ' ' << to << ' ' << (complete ? 1 : 0) << ' '
+      << count << ' ' << element_count << ' ' << (aggregate ? 1 : 0);
+  if (aggregate) {
     out << ' ';
-    write_partial(out, *reply.aggregate);
+    write_partial(out, *aggregate);
   }
   out << '\n';
 }
 
-std::size_t reply_header_size(std::uint64_t query, overlay::NodeId from,
-                              overlay::NodeId to, std::uint64_t count,
-                              std::size_t element_count,
-                              const AggregatePartial* aggregate) {
-  return u64_digits(query) + 1 + u128_digits(from) + 1 + u128_digits(to) +
-         3 + u64_digits(count) + 1 + u64_digits(element_count) + 2 +
-         (aggregate != nullptr ? 1 + partial_size(*aggregate) : 0) + 1;
-}
-
 /// Body of a publish or retract frame: `seq origin to element event span`.
-std::size_t update_body_size(std::uint64_t seq, overlay::NodeId origin,
-                             overlay::NodeId to, const DataElement& element,
-                             std::int32_t event, std::int32_t span) {
-  return u64_digits(seq) + 1 + u128_digits(origin) + 1 + u128_digits(to) +
-         1 + element_size(element) + 1 + i32_digits(event) + 1 +
-         i32_digits(span) + 1;
+template <class Out>
+void write_update(Out& out, std::uint64_t seq, overlay::NodeId origin,
+                  overlay::NodeId to, const DataElement& element,
+                  std::int32_t event, std::int32_t span) {
+  out << seq << ' ' << origin << ' ' << to << ' ';
+  write_element(out, element);
+  out << ' ' << event << ' ' << span << '\n';
 }
 
-} // namespace
-
-std::size_t save_message(const msg::Message& message, std::ostream& out) {
-  const std::streampos start = out.tellp();
-  out << kMsgMagic << ' ' << msg::type_name(message) << '\n';
+template <class Out> void write_message(Out& out, const msg::Message& message) {
+  write_frame_header(out, msg::type_name(message));
   struct Writer {
-    std::ostream& out;
+    Out& out;
     void operator()(const msg::ResolveRequest& r) const {
-      out << r.query << ' ' << to_string(r.at) << ' ';
+      out << r.query << ' ' << r.at << ' ';
       write_batch(out, r.clusters);
       out << ' ' << r.event << ' ' << r.span << '\n';
     }
     void operator()(const msg::ClusterDispatch& d) const {
-      out << d.query << ' ' << to_string(d.from) << ' ' << to_string(d.to)
-          << ' ';
+      out << d.query << ' ' << d.from << ' ' << d.to << ' ';
       write_cluster(out, d.head);
       out << ' ';
       write_batch(out, d.batch);
       out << ' ' << d.event << ' ' << d.span << '\n';
     }
     void operator()(const msg::ScanRequest& s) const {
-      out << s.query << ' ' << to_string(s.at) << ' '
-          << to_string(s.segment.lo) << ' ' << to_string(s.segment.hi) << ' '
-          << (s.covered ? 1 : 0) << ' ';
+      out << s.query << ' ' << s.at << ' ' << s.segment.lo << ' '
+          << s.segment.hi << ' ' << (s.covered ? 1 : 0) << ' ';
       write_spec(out, s.agg);
       out << ' ' << s.slot << ' ' << s.event << ' ' << s.span << ' '
           << s.replica << '\n';
     }
     void operator()(const msg::Reply& r) const {
-      write_reply_header(out, r, r.elements.size());
+      write_reply_header(out, r.query, r.from, r.to, r.complete, r.count,
+                         r.elements.size(), r.aggregate.get());
       for (const auto& element : r.elements) {
         write_element(out, element);
         out << '\n';
       }
     }
     void operator()(const msg::PublishRequest& p) const {
-      out << p.seq << ' ' << to_string(p.origin) << ' ' << to_string(p.to)
-          << ' ';
-      write_element(out, p.element);
-      out << ' ' << p.event << ' ' << p.span << '\n';
+      write_update(out, p.seq, p.origin, p.to, p.element, p.event, p.span);
     }
     void operator()(const msg::RetractRequest& r) const {
-      out << r.seq << ' ' << to_string(r.origin) << ' ' << to_string(r.to)
-          << ' ';
-      write_element(out, r.element);
-      out << ' ' << r.event << ' ' << r.span << '\n';
+      write_update(out, r.seq, r.origin, r.to, r.element, r.event, r.span);
     }
   };
   std::visit(Writer{out}, message);
-  if (start != std::streampos(-1)) {
-    const std::streampos end = out.tellp();
-    if (end != std::streampos(-1))
-      return static_cast<std::size_t>(end - start);
-  }
-  return wire_size(message); // `out` cannot report positions; measure apart
+}
+
+} // namespace
+
+std::size_t save_message(const msg::Message& message, std::ostream& out) {
+  StreamSink sink{out};
+  write_message(sink, message);
+  return wire_size(message);
 }
 
 msg::Message load_message(std::istream& in, std::size_t* bytes_read) {
@@ -562,64 +526,36 @@ msg::Message load_message(std::istream& in, std::size_t* bytes_read) {
 }
 
 std::size_t wire_size(const msg::Message& message) {
-  // Mirrors save_message's Writer field by field.
-  struct Sizer {
-    std::size_t operator()(const msg::ResolveRequest& r) const {
-      return u64_digits(r.query) + 1 + u128_digits(r.at) + 1 +
-             batch_size(r.clusters) + 1 + i32_digits(r.event) + 1 +
-             i32_digits(r.span) + 1;
-    }
-    std::size_t operator()(const msg::ClusterDispatch& d) const {
-      return u64_digits(d.query) + 1 + u128_digits(d.from) + 1 +
-             u128_digits(d.to) + 1 + cluster_size(d.head) + 1 +
-             batch_size(d.batch) + 1 + i32_digits(d.event) + 1 +
-             i32_digits(d.span) + 1;
-    }
-    std::size_t operator()(const msg::ScanRequest& s) const {
-      return u64_digits(s.query) + 1 + u128_digits(s.at) + 1 +
-             u128_digits(s.segment.lo) + 1 + u128_digits(s.segment.hi) + 3 +
-             spec_size(s.agg) + 1 + u64_digits(s.slot) + 1 +
-             i32_digits(s.event) + 1 + i32_digits(s.span) + 1 +
-             u64_digits(s.replica) + 1;
-    }
-    std::size_t operator()(const msg::Reply& r) const {
-      std::size_t n = reply_header_size(r.query, r.from, r.to, r.count,
-                                        r.elements.size(), r.aggregate.get());
-      for (const auto& element : r.elements) n += element_size(element) + 1;
-      return n;
-    }
-    std::size_t operator()(const msg::PublishRequest& p) const {
-      return update_body_size(p.seq, p.origin, p.to, p.element, p.event,
-                              p.span);
-    }
-    std::size_t operator()(const msg::RetractRequest& r) const {
-      return update_body_size(r.seq, r.origin, r.to, r.element, r.event,
-                              r.span);
-    }
-  };
-  return frame_header_size(msg::type_name(message)) +
-         std::visit(Sizer{}, message);
+  SizeSink size;
+  write_message(size, message);
+  return size.bytes;
 }
 
 std::size_t element_wire_size(const DataElement& element) {
-  return element_size(element) + 1; // trailing newline
+  SizeSink size;
+  write_element(size, element);
+  return size.bytes + 1; // trailing newline
 }
 
 std::size_t reply_wire_size(overlay::NodeId from, overlay::NodeId to,
                             std::uint64_t count, std::size_t elements,
                             std::size_t payload_bytes,
                             const AggregatePartial* aggregate) {
-  return frame_header_size("reply") +
-         reply_header_size(0, from, to, count, elements, aggregate) +
-         payload_bytes;
+  SizeSink size;
+  write_frame_header(size, "reply");
+  write_reply_header(size, /*query=*/0, from, to, /*complete=*/true, count,
+                     elements, aggregate);
+  return size.bytes + payload_bytes;
 }
 
 std::size_t update_wire_size(UpdateOp::Kind kind, std::uint64_t seq,
                              overlay::NodeId origin, overlay::NodeId to,
                              const DataElement& element) {
-  return frame_header_size(kind == UpdateOp::Kind::kPublish ? "publish"
-                                                            : "retract") +
-         update_body_size(seq, origin, to, element, /*event=*/0, /*span=*/-1);
+  SizeSink size;
+  write_frame_header(size, kind == UpdateOp::Kind::kPublish ? "publish"
+                                                            : "retract");
+  write_update(size, seq, origin, to, element, /*event=*/0, /*span=*/-1);
+  return size.bytes;
 }
 
 void save_snapshot(const SquidSystem& sys, std::ostream& out) {
@@ -632,10 +568,11 @@ void save_snapshot(const SquidSystem& sys, std::ostream& out) {
   for (const auto id : ids) out << to_string(id) << '\n';
 
   out << sys.element_count() << '\n';
+  StreamSink sink{out};
   sys.for_each_key([&](u128, const sfc::Point&,
                        const std::vector<DataElement>& elements) {
     for (const auto& element : elements) {
-      write_element(out, element);
+      write_element(sink, element);
       out << '\n';
     }
   });
@@ -668,24 +605,9 @@ void load_snapshot(SquidSystem& sys, std::istream& in) {
   in >> element_count;
   SQUID_REQUIRE(in, "snapshot: bad element count");
   for (std::size_t i = 0; i < element_count; ++i) {
-    DataElement element;
-    element.name = read_string(in);
-    std::size_t token_count = 0;
-    in >> token_count;
-    SQUID_REQUIRE(in && token_count == dims,
+    const DataElement element = read_element(in);
+    SQUID_REQUIRE(element.keys.size() == dims,
                   "snapshot: element arity mismatch");
-    for (std::size_t t = 0; t < token_count; ++t) {
-      char kind = 0;
-      in >> kind;
-      if (kind == 's') {
-        element.keys.emplace_back(read_string(in));
-      } else if (kind == 'n') {
-        element.keys.emplace_back(
-            token_double(in, "snapshot: malformed numeric token"));
-      } else {
-        SQUID_REQUIRE(false, "snapshot: unknown token kind");
-      }
-    }
     sys.publish(element);
   }
   sys.repair_routing();

@@ -44,11 +44,10 @@ void bump(const char* name, std::uint64_t n = 1) {
 }
 
 /// Plan one op: route its key from the origin, then pay for the frame's
-/// transmission leg under this op's forked injector — the same
-/// 1+send_retries admit loop with exponential backoff that query legs use
-/// (QueryExec::attempt_leg), judged at virtual time 0 so the verdict stream
-/// depends only on (plan, seq), never on the mode. Fills everything but
-/// `applied`, which the commit decides.
+/// transmission leg under this op's forked injector — through attempt_leg,
+/// the admit loop query legs use, judged on a private engine at virtual
+/// time 0 so the verdict stream depends only on (plan, seq), never on the
+/// mode. Fills everything but `applied`, which the commit decides.
 UpdateResult plan_op(const SquidSystem& sys, const UpdateOp& op,
                      std::uint64_t seq, const sim::FaultPlan* faults) {
   UpdateResult out;
@@ -62,39 +61,22 @@ UpdateResult plan_op(const SquidSystem& sys, const UpdateOp& op,
   const std::size_t frame_bytes =
       update_wire_size(op.kind, seq, op.origin, route.dest, op.element);
 
-  bool delivered = true;
-  sim::Time penalty = 0;
-  std::size_t resends = 0;
-  bool duplicate = false;
+  Leg leg;
   if (faults != nullptr) {
     sim::FaultInjector injector(sim::fork_plan(*faults, seq));
     sim::Engine eng(0);
     eng.set_fault_injector(&injector);
-    delivered = false;
-    const SquidConfig& cfg = sys.config();
-    const unsigned attempts = 1 + cfg.send_retries;
-    for (unsigned a = 0; a < attempts; ++a) {
-      const sim::SendOutcome verdict = eng.admit(op.origin, route.dest);
-      if (verdict.delivered) {
-        penalty += verdict.extra_delay;
-        duplicate = verdict.duplicate;
-        delivered = true;
-        break;
-      }
-      if (a + 1 < attempts) {
-        penalty += cfg.retry_backoff << a;
-        ++resends;
-      }
-    }
-    if (!delivered) injector.report_timeout(op.origin, route.dest);
+    leg = attempt_leg(eng, sys.config(), op.origin, route.dest);
   }
-  out.delivered = delivered;
-  out.retries = resends;
-  out.messages = 1 + resends + (duplicate ? 1 : 0);
+  out.delivered = leg.delivered;
+  out.retries = leg.resends;
+  // A lost frame paid for every resend; a delivered one for its resends
+  // and any duplicate copy.
+  out.messages = 1 + (leg.delivered ? leg.extra_messages : leg.resends);
   out.bytes = frame_bytes * out.messages;
   // A lost frame never arrives: only a delivered op has a completion tick.
-  if (delivered)
-    out.completed_at = static_cast<sim::Time>(route.hops()) + penalty;
+  if (leg.delivered)
+    out.completed_at = static_cast<sim::Time>(route.hops()) + leg.penalty;
   return out;
 }
 

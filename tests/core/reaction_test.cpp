@@ -369,6 +369,9 @@ RunFingerprint run_reaction(Mode mode, unsigned shards) {
 }
 
 TEST(ReactionDeterminism, IdenticalAcrossModesAndShardCounts) {
+  // With telemetry compiled out the controller never reacts, and equal
+  // all-zero fingerprints would prove nothing.
+  if (!obs::kEnabled) GTEST_SKIP() << "observability compiled out";
   const RunFingerprint lockstep = run_reaction(Mode::kLockstep, 1);
   // The run must actually react, or the comparison proves nothing.
   EXPECT_GT(lockstep.replications + lockstep.splits, 0u);

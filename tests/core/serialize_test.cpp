@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <sstream>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "squid/workload/corpus.hpp"
 
@@ -130,6 +132,45 @@ TEST(Snapshot, OverflowingNodeIdRejected) {
            << sys.space().bits_per_dim()
            << "\n1\n340282366920938463463374607431768211456\n0\n";
   EXPECT_THROW(load_snapshot(sys, snapshot), std::invalid_argument);
+}
+
+TEST(Snapshot, MalformedElementsRejected) {
+  // A one-element snapshot whose element line is swapped for a broken one:
+  // load_snapshot must reject each with std::invalid_argument.
+  Rng rng(156);
+  SquidSystem original(mixed_space());
+  original.build_network(3, rng);
+  original.publish({"alpha", {std::string("word"), 123.5}});
+  std::stringstream saved;
+  save_snapshot(original, saved);
+  const std::string text = saved.str();
+  const std::size_t line = text.find("5:alpha ");
+  ASSERT_NE(line, std::string::npos);
+  const std::string head = text.substr(0, line);
+  const std::string good = text.substr(line);
+  const std::size_t at = good.find(" n") + 1;
+  const std::string number = good.substr(at, good.find('\n') - at);
+
+  {
+    SquidSystem restored(mixed_space());
+    std::stringstream snapshot(head + good);
+    load_snapshot(restored, snapshot);
+    EXPECT_EQ(restored.element_count(), 1u);
+  }
+  const std::vector<std::string> broken = {
+      "5:alpha 1 s4:word\n",                          // fewer tokens than dims
+      "5:alpha 3 s4:word " + number + " s4:term\n",   // more tokens than dims
+      "5:alpha 2 s4:word x4:term\n",                  // unknown token kind
+      "5:alpha 2 s4:word n\n",                        // numeric token cut off
+      "5:alpha 2 s4:word nabc\n",                     // numeric token not a number
+      "5:alpha 2 s4:word",                            // second token missing
+  };
+  for (const std::string& element : broken) {
+    SquidSystem restored(mixed_space());
+    std::stringstream snapshot(head + element);
+    EXPECT_THROW(load_snapshot(restored, snapshot), std::invalid_argument)
+        << element;
+  }
 }
 
 } // namespace

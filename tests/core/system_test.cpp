@@ -1,4 +1,5 @@
 #include "squid/core/system.hpp"
+#include "squid/core/update.hpp"
 
 #include <gtest/gtest.h>
 
@@ -62,13 +63,16 @@ TEST(SquidSystem, PublishRoutedReachesTheOwner) {
   sys.build_network(30, rng);
   const auto element = doc("routed", "cab", "dad");
   const auto origin = sys.ring().random_node(rng);
-  const auto route = sys.publish_routed(element, origin);
-  ASSERT_TRUE(route.ok);
-  EXPECT_EQ(route.path.front(), origin);
+  const UpdateResult result = publish_update(sys, element, origin);
+  EXPECT_TRUE(result.delivered);
+  EXPECT_TRUE(result.applied);
   EXPECT_EQ(sys.element_count(), 1u);
-  // The destination must be the owner of the element's index.
-  const auto point = sys.space().encode(element.keys);
-  EXPECT_EQ(route.dest, sys.owner_of(sys.curve().index_of(point)));
+  // The frame travels the overlay route to the owner of the element's index.
+  const u128 index = sys.curve().index_of(sys.space().encode(element.keys));
+  const overlay::RouteResult route = sys.ring().route(origin, index);
+  ASSERT_TRUE(route.ok);
+  EXPECT_EQ(route.dest, sys.owner_of(index));
+  EXPECT_EQ(result.hops, route.hops());
 }
 
 TEST(SquidSystem, QueryRequiresLiveOrigin) {
